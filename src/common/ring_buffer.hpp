@@ -8,12 +8,14 @@
 //                      replaces std::deque where the bound is soft (source
 //                      backlogs), so empty queues cost no heap block.
 //   - SlabEventRing<T>: per-slot FIFOs of a timing wheel, backed by chunks
-//                      from one shared slab that recycle across wraps.
+//                      from one shared slab that recycle across wraps and
+//                      grow in fixed blocks that never move.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -125,12 +127,15 @@ class RingDeque {
 /// Timing-wheel storage: one FIFO per slot, all slots sharing a slab of
 /// fixed-size chunks threaded through free lists. A drained slot returns
 /// its chunks to the slab, so steady state runs with zero allocation no
-/// matter how often the wheel wraps.
+/// matter how often the wheel wraps. The slab grows in fixed blocks of
+/// kBlockChunks chunks that never move: growth allocates one block and
+/// copies nothing, so a busy wheel never holds an old and a new slab at
+/// once (a doubling vector would, for the length of the copy).
 ///
-/// Constraint: drain() callbacks must not push() into the same ring (the
-/// slab may grow under the iteration). The engine's event handlers only
-/// ever schedule into *future* cycles from the allocation phase, never
-/// from a drain, so this holds by construction there.
+/// Constraint: drain() callbacks must not push() into the same ring. The
+/// engine's event handlers only ever schedule into *future* cycles from
+/// the allocation phase, never from a drain, so this holds by
+/// construction there; draining_ asserts it.
 template <typename T, int kChunkCap = 16>
 class SlabEventRing {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -139,49 +144,31 @@ class SlabEventRing {
  public:
   void reset(std::size_t num_slots) {
     slots_.assign(num_slots, Slot{});
-    chunks_.clear();
+    blocks_.clear();
+    num_chunks_ = 0;
     free_head_ = -1;
   }
 
   void push(std::size_t slot, const T& ev) {
     assert(!draining_);
     Slot& s = slots_[slot];
-    if (s.tail < 0 || chunks_[static_cast<std::size_t>(s.tail)].count ==
-                          kChunkCap) {
+    if (s.tail < 0 || chunk(s.tail).count == kChunkCap) {
       const std::int32_t c = acquire_chunk();
       if (s.tail >= 0) {
-        chunks_[static_cast<std::size_t>(s.tail)].next = c;
+        chunk(s.tail).next = c;
       } else {
         s.head = c;
       }
       s.tail = c;
     }
-    Chunk& ch = chunks_[static_cast<std::size_t>(s.tail)];
+    Chunk& ch = chunk(s.tail);
     ch.items[ch.count++] = ev;
   }
 
   /// Visit the slot's events in FIFO order, then recycle its chunks.
   template <typename Fn>
   void drain(std::size_t slot, Fn&& fn) {
-    Slot& s = slots_[slot];
-    std::int32_t c = s.head;
-    if (c < 0) return;  // empty: skip the slot-reset stores
-    s.head = -1;
-    s.tail = -1;
-#ifndef NDEBUG
-    draining_ = true;
-#endif
-    while (c >= 0) {
-      Chunk& ch = chunks_[static_cast<std::size_t>(c)];
-      for (std::int32_t i = 0; i < ch.count; ++i) fn(ch.items[i]);
-      const std::int32_t next = ch.next;
-      ch.next = free_head_;
-      free_head_ = c;
-      c = next;
-    }
-#ifndef NDEBUG
-    draining_ = false;
-#endif
+    drain_prefetch(slot, [](const T&) {}, fn);
   }
 
   /// drain() that runs `prefetch(ev)` over a whole chunk before `fn(ev)`
@@ -194,14 +181,12 @@ class SlabEventRing {
   void drain_prefetch(std::size_t slot, Pf&& prefetch, Fn&& fn) {
     Slot& s = slots_[slot];
     std::int32_t c = s.head;
-    if (c < 0) return;
+    if (c < 0) return;  // empty: skip the slot-reset stores
     s.head = -1;
     s.tail = -1;
-#ifndef NDEBUG
     draining_ = true;
-#endif
     while (c >= 0) {
-      Chunk& ch = chunks_[static_cast<std::size_t>(c)];
+      Chunk& ch = chunk(c);
       for (std::int32_t i = 0; i < ch.count; ++i) prefetch(ch.items[i]);
       for (std::int32_t i = 0; i < ch.count; ++i) fn(ch.items[i]);
       const std::int32_t next = ch.next;
@@ -209,12 +194,8 @@ class SlabEventRing {
       free_head_ = c;
       c = next;
     }
-#ifndef NDEBUG
     draining_ = false;
-#endif
   }
-
-  std::size_t slab_chunks() const { return chunks_.size(); }
 
   /// True when the slot holds no events — a single load, so per-cycle
   /// pollers (the sharded engine checks every shard's wheels every
@@ -223,7 +204,8 @@ class SlabEventRing {
 
   /// Resident bytes of the slab and slot table (memory-audit support).
   std::size_t footprint_bytes() const {
-    return chunks_.capacity() * sizeof(Chunk) +
+    return blocks_.size() * sizeof(Block) +
+           blocks_.capacity() * sizeof(blocks_[0]) +
            slots_.capacity() * sizeof(Slot);
   }
 
@@ -233,7 +215,7 @@ class SlabEventRing {
   void visit(std::size_t slot, Fn&& fn) const {
     std::int32_t c = slots_[slot].head;
     while (c >= 0) {
-      const Chunk& ch = chunks_[static_cast<std::size_t>(c)];
+      const Chunk& ch = chunk(c);
       for (std::int32_t i = 0; i < ch.count; ++i) fn(ch.items[i]);
       c = ch.next;
     }
@@ -252,30 +234,49 @@ class SlabEventRing {
     std::int32_t count = 0;
     T items[kChunkCap];
   };
+  static constexpr int kBlockShift = 4;
+  static constexpr std::int32_t kBlockChunks = 1 << kBlockShift;
+  struct Block {
+    Chunk chunks[kBlockChunks];
+  };
   struct Slot {
     std::int32_t head = -1;
     std::int32_t tail = -1;
   };
 
+  Chunk& chunk(std::int32_t c) {
+    return blocks_[static_cast<std::size_t>(c >> kBlockShift)]
+        ->chunks[c & (kBlockChunks - 1)];
+  }
+  const Chunk& chunk(std::int32_t c) const {
+    return blocks_[static_cast<std::size_t>(c >> kBlockShift)]
+        ->chunks[c & (kBlockChunks - 1)];
+  }
+
   std::int32_t acquire_chunk() {
     if (free_head_ >= 0) {
       const std::int32_t c = free_head_;
-      Chunk& ch = chunks_[static_cast<std::size_t>(c)];
+      Chunk& ch = chunk(c);
       free_head_ = ch.next;
       ch.next = -1;
       ch.count = 0;
       return c;
     }
-    chunks_.emplace_back();
-    return static_cast<std::int32_t>(chunks_.size() - 1);
+    if ((num_chunks_ & (kBlockChunks - 1)) == 0) {
+      blocks_.push_back(std::make_unique<Block>());
+    }
+    return num_chunks_++;
   }
 
-  std::vector<Chunk> chunks_;
+  std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<Slot> slots_;
+  std::int32_t num_chunks_ = 0;
   std::int32_t free_head_ = -1;
-#ifndef NDEBUG
+  /// Set while a drain runs, so push() can assert it is not called from a
+  /// drain callback. Present in every build: a member that existed only
+  /// without NDEBUG would give the class (and Engine, which holds it) a
+  /// different layout in assert-enabled and release translation units.
   bool draining_ = false;
-#endif
 };
 
 }  // namespace dfsim

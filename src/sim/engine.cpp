@@ -246,13 +246,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   credit_ring_.reset(ring_size_);
   delivery_ring_.reset(ring_size_);
 
-  // Pre-size for steady-state churn, but cap the reservation: at h=8+
-  // shapes 4 packets/terminal would pre-commit hundreds of MB before a
-  // single packet exists. Beyond the cap the pool grows on demand.
-  pool_.reserve(std::min<std::size_t>(
-      static_cast<std::size_t>(topo_.num_terminals()) * 4, std::size_t{1}
-                                                               << 20));
-
   scratch_.out_first_nom.assign(static_cast<size_t>(ports_), -1);
 
   if (cfg_.sharded) init_shards();
@@ -279,7 +272,7 @@ void Engine::process_arrivals() {
   credit_ring_.drain(slot, [&](const CreditEvent& ev) {
     const std::size_t ovidx = vc_index(ev.router, ev.port, ev.vc);
     OutputVc& ovc = out_vcs_[ovidx];
-    ovc.credits_phits += ev.phits;
+    ovc.credits_phits += flit_phits_;
     assert(ovc.credits_phits <= port_capacity(ev.port));
     wake_waiters(ovidx);
   });
@@ -299,11 +292,11 @@ void Engine::process_arrivals() {
       mark_router_active(ev.router);
     }
     ivc.fifo.push_back(ev.flit);
-    ivc.occupancy_phits += ev.flit.size_phits;
+    ivc.occupancy_phits += flit_phits_;
     if (pclass(ev.port) == PortClass::kTerminal) {
       const NodeId t = ev.router * terminals_per_router_ +
                        (ev.port - first_terminal_port_);
-      terminals_[static_cast<size_t>(t)].inflight_phits -= ev.flit.size_phits;
+      terminals_[static_cast<size_t>(t)].inflight_phits -= flit_phits_;
     }
     assert(ivc.occupancy_phits <= port_capacity(ev.port));
   });
@@ -668,7 +661,7 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   InputVc& ivc = in_vcs_[in_vidx];
   const Flit flit = ivc.fifo.front();
   ivc.fifo.pop_front();
-  ivc.occupancy_phits -= flit.size_phits;
+  ivc.occupancy_phits -= flit_phits_;
   head_hop_[in_vidx] = kHeadUnknown;  // whatever follows is a new head
   if (ivc.fifo.empty()) {
     --nonempty_vcs_[static_cast<size_t>(r)];
@@ -687,7 +680,8 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   const PortClass in_cls = pclass(in_port);
   if (in_cls != PortClass::kTerminal) {
     const auto up = endpoints_[port_index(r, in_port)];
-    const CreditEvent cev{up.router, up.port, in_vc_id, flit.size_phits};
+    const CreditEvent cev{up.router, static_cast<std::int16_t>(up.port),
+                          static_cast<std::int16_t>(in_vc_id)};
     const Cycle at = now_ + link_latency(in_cls);
     if (shard != nullptr) {
       if (up.router >= shard->first_router && up.router < shard->end_router) {
@@ -722,10 +716,10 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
 
   const PortClass out_cls = pclass(out_port);
   out_busy_until_[port_index(r, out_port)] =
-      now_ + static_cast<Cycle>(flit.size_phits);
+      now_ + static_cast<Cycle>(flit_phits_);
   (shard != nullptr ? shard->phits_sent
                     : phits_sent_)[static_cast<int>(out_cls)] +=
-      static_cast<std::uint64_t>(flit.size_phits);
+      static_cast<std::uint64_t>(flit_phits_);
 
   // Input-VC binding for multi-flit packets (wormhole).
   if (flit.head && !flit.tail) {
@@ -739,7 +733,7 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
 
   if (out_cls == PortClass::kTerminal) {
     if (flit.tail) {
-      const Cycle at = now_ + static_cast<Cycle>(flit.size_phits);
+      const Cycle at = now_ + static_cast<Cycle>(flit_phits_);
       if (shard != nullptr) {
         // Ejection happens at the owning router: deliveries are always
         // same-shard, straight into the shard's own wheel.
@@ -758,7 +752,7 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
 
   const std::size_t out_vidx = vc_index(r, out_port, out_vc_id);
   OutputVc& ovc = out_vcs_[out_vidx];
-  ovc.credits_phits -= flit.size_phits;
+  ovc.credits_phits -= flit_phits_;
   assert(ovc.credits_phits >= 0);
   if (cfg_.flow == FlowControl::kWormhole) {
     if (flit.head) ovc.bound_packet = flit.packet;
@@ -770,8 +764,9 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
 
   const auto down = endpoints_[port_index(r, out_port)];
   const Cycle at =
-      now_ + static_cast<Cycle>(flit.size_phits + link_latency(out_cls));
-  const FlitEvent fev{down.router, down.port, out_vc_id, flit};
+      now_ + static_cast<Cycle>(flit_phits_ + link_latency(out_cls));
+  const FlitEvent fev{down.router, static_cast<std::int16_t>(down.port),
+                      static_cast<std::int16_t>(out_vc_id), flit};
   if (shard != nullptr) {
     // Local-link flits stay inside the group (= the shard) and go into
     // the shard's own wheel; only global-link flits cross the outbox.
@@ -936,13 +931,18 @@ void Engine::materialize(NodeId t, TerminalState& ts) {
     return;
   }
 
-  const PacketId id = pool_.alloc();
+  inject_packet(0, t, ts, dst, created, flags, flit_ring_);
+  last_progress_ = now_;
+}
+
+void Engine::inject_packet(std::size_t slab, NodeId t, TerminalState& ts,
+                           NodeId dst, Cycle created, std::uint8_t flags,
+                           SlabEventRing<FlitEvent>& ring) {
+  const PacketId id = pool_.alloc(slab);
   Packet& pkt = pool_[id];
   pkt.src = t;
   pkt.dst = dst;
   pkt.size_phits = cfg_.packet_phits;
-  pkt.num_flits = static_cast<std::int16_t>(flits_per_packet_);
-  pkt.flit_phits = static_cast<std::int16_t>(flit_phits_);
   pkt.created = created;
   pkt.injected = now_;
   pkt.flags = flags;
@@ -951,20 +951,19 @@ void Engine::materialize(NodeId t, TerminalState& ts) {
   pkt.rs.src_group = topo_.group_of_terminal(t);
 
   const RouterId r = topo_.router_of_terminal(t);
-  const PortId port = topo_.terminal_port(t);
+  const auto port = static_cast<std::int16_t>(topo_.terminal_port(t));
   for (int k = 0; k < flits_per_packet_; ++k) {
     Flit flit;
     flit.packet = id;
     flit.index = static_cast<std::int16_t>(k);
-    flit.size_phits = static_cast<std::int16_t>(flit_phits_);
     flit.head = (k == 0);
     flit.tail = (k == flits_per_packet_ - 1);
-    schedule_flit(now_ + static_cast<Cycle>((k + 1) * flit_phits_),
-                  {r, port, 0, flit});
+    const Cycle at = now_ + static_cast<Cycle>((k + 1) * flit_phits_);
+    assert(at - now_ < ring_size_);
+    ring.push(ring_slot(at), {r, port, 0, flit});
   }
   ts.inflight_phits += cfg_.packet_phits;
   ts.link_busy_until = now_ + static_cast<Cycle>(cfg_.packet_phits);
-  last_progress_ = now_;
 }
 
 void Engine::inject_for_test(NodeId src, NodeId dst, Cycle created) {
@@ -992,6 +991,8 @@ void Engine::run_until(Cycle end) {
   }
 }
 
+std::size_t Engine::compiled_size() { return sizeof(Engine); }
+
 std::size_t Engine::footprint_bytes() const {
   const auto vec = [](const auto& v) {
     return v.capacity() *
@@ -1015,7 +1016,9 @@ std::size_t Engine::footprint_bytes() const {
   for (const auto& q : forced_created_) total += q.footprint_bytes();
   for (const auto& q : forced_flags_) total += q.footprint_bytes();
   total += vec(terminal_gen_prob_) + vec(terminal_gen_threshold_);
-  total += pool_.capacity() * sizeof(Packet);
+  total += pool_.footprint_bytes();
+  total += vec(scratch_.noms) + vec(scratch_.out_first_nom) +
+           vec(scratch_.touched_outs);
   total += flit_ring_.footprint_bytes() + credit_ring_.footprint_bytes() +
            delivery_ring_.footprint_bytes();
   // Shard-owned allocations: the per-shard timing wheels, outboxes and
@@ -1026,7 +1029,7 @@ std::size_t Engine::footprint_bytes() const {
     total += s.flit_ring.footprint_bytes() + s.credit_ring.footprint_bytes() +
              s.delivery_ring.footprint_bytes();
     total += vec(s.outbox_flits) + vec(s.outbox_credits);
-    total += vec(s.injections) + vec(s.hops) + vec(s.gen_accepted);
+    total += vec(s.hops) + vec(s.gen_accepted);
     total += vec(s.scratch.noms) + vec(s.scratch.out_first_nom) +
              vec(s.scratch.touched_outs);
   }

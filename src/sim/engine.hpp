@@ -161,7 +161,7 @@ class Engine {
     std::uint64_t arrive_ns = 0;   ///< parallel: per-shard ring drains
     std::uint64_t deliver_ns = 0;  ///< serial: deliveries + per_cycle
     std::uint64_t alloc_ns = 0;    ///< parallel: allocation + injection
-    std::uint64_t flush_ns = 0;    ///< serial: outbox replay + injections
+    std::uint64_t flush_ns = 0;    ///< serial: hook + outbox replay
     std::uint64_t total_ns = 0;
     /// Amdahl estimate: the share of step time spent in the serial
     /// phases (deliver + flush). 0 when nothing was profiled.
@@ -174,9 +174,19 @@ class Engine {
   const PhaseProfile& phase_profile() const { return profile_data_; }
   bool profiling() const { return profile_; }
   /// Resident bytes of the engine's own state arrays (arenas, VC state,
-  /// worklists, terminals, timing wheels, packet pool). Used by the scale
-  /// benches to report bytes-per-terminal; excludes malloc overhead.
+  /// worklists, terminals, timing wheels, packet pool with its chunk
+  /// table and free lists, allocation scratch, per-shard staging). Used
+  /// by the scale benches to report bytes-per-terminal; excludes malloc
+  /// overhead.
   std::size_t footprint_bytes() const;
+  /// The packet pool (memory audits and tests).
+  const PacketPool& packet_pool() const { return pool_; }
+
+  /// sizeof(Engine) as compiled into the library. A client translation
+  /// unit that sees a different layout (a header member that depends on
+  /// NDEBUG, say) would silently corrupt memory when linked against it;
+  /// tests compare this against their own sizeof(Engine).
+  static std::size_t compiled_size();
 
   const DragonflyTopology& topology() const { return topo_; }
   const EngineConfig& config() const { return cfg_; }
@@ -238,7 +248,7 @@ class Engine {
     } else {
       if (ovc.bound_packet != flit.packet) return false;
     }
-    return ovc.credits_phits >= flit.size_phits;
+    return ovc.credits_phits >= flit_phits_;
   }
 
   /// Downstream buffer occupancy fraction in [0,1] derived from credits —
@@ -317,14 +327,18 @@ class Engine {
   /// queues' (created, dst, flags) triples, per-terminal offered loads,
   /// and the workload's trace cursor; v3 streams are rejected with a
   /// pointed message.
-  static constexpr std::uint32_t kCheckpointVersion = 4;
+  /// v5: the packet pool is saved slab by slab (one per shard in sharded
+  /// mode), packets drop their flit count and flit size, flits their
+  /// size and credit events their phit count (all engine constants); v4
+  /// streams are rejected with a pointed message.
+  static constexpr std::uint32_t kCheckpointVersion = 5;
 
   /// Serialize the complete dynamic engine state behind a versioned,
   /// shape-checked header: every input-VC FIFO (flit arena slices), all
   /// credits and wormhole VC bindings, the timing-wheel events in flight,
-  /// the packet pool (slots AND free-list order), per-terminal injection
-  /// state including Markov ON/OFF chains, the RNG cursor, switch RR
-  /// pointers, and the routing mechanism's cross-cycle state
+  /// the packet pool (slots AND free-list order, per slab), per-terminal
+  /// injection state including Markov ON/OFF chains, the RNG cursor,
+  /// switch RR pointers, and the routing mechanism's cross-cycle state
   /// (RoutingAlgorithm::save_state). Derived retry-suppression caches
   /// (sleep timers, waiter lists, pure-hop verdicts, minimal-port memos)
   /// are NOT serialized: rebuilding them draws no randomness and changes
@@ -360,18 +374,21 @@ class Engine {
     std::int32_t inflight_phits = 0;  // reserved in the injection buffer
   };
 
+  // Timing-wheel events, 16 and 8 bytes. Ports and VCs fit 16 bits
+  // (SimConfig::validate caps ports at 2047), and a credit always returns
+  // one flit's worth (flit_phits_), so it carries no size.
   struct FlitEvent {
     RouterId router;
-    PortId port;
-    VcId vc;
+    std::int16_t port;
+    std::int16_t vc;
     Flit flit;
   };
   struct CreditEvent {
     RouterId router;
-    PortId port;
-    VcId vc;
-    std::int32_t phits;
+    std::int16_t port;
+    std::int16_t vc;
   };
+  static_assert(sizeof(FlitEvent) == 16 && sizeof(CreditEvent) == 8);
 
   std::size_t port_index(RouterId r, PortId port) const {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(ports_) +
@@ -522,6 +539,12 @@ class Engine {
   void inject_terminals();
   void try_inject(NodeId terminal);
   void materialize(NodeId terminal, TerminalState& ts);
+  /// Create terminal `t`'s packet to `dst` from pool slab `slab`, queue
+  /// its flits into `ring` (the wheel holding `t`'s router), and reserve
+  /// the injection buffer and link. Shared by both steppers.
+  void inject_packet(std::size_t slab, NodeId t, TerminalState& ts,
+                     NodeId dst, Cycle created, std::uint8_t flags,
+                     SlabEventRing<FlitEvent>& ring);
   void deliver(PacketId id);
 
   // --- workload support -------------------------------------------------
@@ -724,18 +747,13 @@ class Engine {
     Cycle at;
     CreditEvent ev;
   };
-  struct StagedInjection {
-    NodeId terminal;
-    NodeId dst;
-    Cycle created;
-    std::uint8_t flags;
-  };
   struct HopRecord {
     PacketId packet;
     RouteChoice choice;
     RouterId router;
   };
   struct Shard {
+    std::size_t index = 0;  ///< also the shard's packet-pool slab
     RouterId first_router = 0;
     RouterId end_router = 0;
     NodeId first_terminal = 0;
@@ -756,7 +774,6 @@ class Engine {
     // order — O(shards) buffers instead of O(shards^2).
     std::vector<StagedFlit> outbox_flits;
     std::vector<StagedCredit> outbox_credits;
-    std::vector<StagedInjection> injections;
     std::vector<HopRecord> hops;
     std::vector<std::uint8_t> gen_accepted;
     std::uint64_t phits_sent[3] = {0, 0, 0};

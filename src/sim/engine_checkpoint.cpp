@@ -3,13 +3,13 @@
 //
 // What is saved: the clock, the RNG cursor, every input-VC FIFO, credits
 // and wormhole bindings, switch round-robin pointers, the packet pool
-// (slot contents and free-list order — future alloc() ids must replay),
-// per-terminal source queues / burst budgets / ON/OFF chains, the timing
-// wheels' in-flight events (one wheel triple per shard in sharded mode,
-// the global triple in exact mode), delivery counters, the routing
-// mechanism's cross-cycle state, and (v4) the workload layer: per-packet
-// flag bytes, the forced-injection (created, dst, flags) queues,
-// per-terminal offered loads and the trace replay cursor.
+// slab by slab (slot contents and free-list order — future alloc() ids
+// must replay), per-terminal source queues / burst budgets / ON/OFF
+// chains, the timing wheels' in-flight events (one wheel triple per shard
+// in sharded mode, the global triple in exact mode), delivery counters,
+// the routing mechanism's cross-cycle state, and (v4) the workload layer:
+// per-packet flag bytes, the forced-injection (created, dst, flags)
+// queues, per-terminal offered loads and the trace replay cursor.
 //
 // What is deliberately NOT saved, because rebuilding it is decision- and
 // RNG-neutral: the retry-suppression caches (vc_sleep_until_, waiter
@@ -35,7 +35,6 @@ constexpr std::uint64_t kEndSentinel = 0xdf51aced0c0ffee1ULL;
 void write_flit(std::ostream& os, const Flit& f) {
   ser::write_i32(os, f.packet);
   ser::write_i32(os, f.index);
-  ser::write_i32(os, f.size_phits);
   ser::write_u8(os, f.head ? 1 : 0);
   ser::write_u8(os, f.tail ? 1 : 0);
 }
@@ -44,8 +43,6 @@ Flit read_flit(std::istream& is) {
   Flit f;
   f.packet = ser::read_i32(is, "flit packet id");
   f.index = static_cast<std::int16_t>(ser::read_i32(is, "flit index"));
-  f.size_phits =
-      static_cast<std::int16_t>(ser::read_i32(is, "flit size"));
   f.head = ser::read_u8(is, "flit head flag") != 0;
   f.tail = ser::read_u8(is, "flit tail flag") != 0;
   return f;
@@ -55,8 +52,6 @@ void write_packet(std::ostream& os, const Packet& p) {
   ser::write_i32(os, p.src);
   ser::write_i32(os, p.dst);
   ser::write_i32(os, p.size_phits);
-  ser::write_i32(os, p.num_flits);
-  ser::write_i32(os, p.flit_phits);
   ser::write_u64(os, p.created);
   ser::write_u64(os, p.injected);
   const RouteState& rs = p.rs;
@@ -81,10 +76,6 @@ Packet read_packet(std::istream& is) {
   p.src = ser::read_i32(is, "packet src");
   p.dst = ser::read_i32(is, "packet dst");
   p.size_phits = ser::read_i32(is, "packet size");
-  p.num_flits =
-      static_cast<std::int16_t>(ser::read_i32(is, "packet flit count"));
-  p.flit_phits =
-      static_cast<std::int16_t>(ser::read_i32(is, "packet flit size"));
   p.created = ser::read_u64(is, "packet created cycle");
   p.injected = ser::read_u64(is, "packet injected cycle");
   RouteState& rs = p.rs;
@@ -145,16 +136,19 @@ void Engine::save_checkpoint(std::ostream& os) const {
   for (const auto s : phits_sent_) ser::write_u64(os, s);
   ser::write_u64(os, dead_dst_drops_);
 
-  // --- packet pool (slot layout + free-list order) ----------------------
-  ser::write_u64(os, pool_.capacity());
-  ser::write_u64(os, pool_.free_list().size());
-  for (const PacketId id : pool_.free_list()) ser::write_i32(os, id);
-  std::vector<std::uint8_t> live(pool_.capacity(), 1);
-  for (const PacketId id : pool_.free_list()) {
-    live[static_cast<std::size_t>(id)] = 0;
-  }
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i]) write_packet(os, pool_[static_cast<PacketId>(i)]);
+  // --- packet pool, slab by slab (slot layout + free-list order) --------
+  ser::write_u64(os, pool_.num_slabs());
+  for (std::size_t s = 0; s < pool_.num_slabs(); ++s) {
+    const std::size_t handed_out = pool_.handed_out(s);
+    const std::vector<PacketId>& free_list = pool_.free_list(s);
+    ser::write_u64(os, handed_out);
+    ser::write_u64(os, free_list.size());
+    for (const PacketId id : free_list) ser::write_i32(os, id);
+    std::vector<std::uint8_t> live(handed_out, 1);
+    for (const PacketId id : free_list) live[pool_.index_in_slab(id)] = 0;
+    for (std::size_t n = 0; n < handed_out; ++n) {
+      if (live[n]) write_packet(os, pool_[pool_.id_at(s, n)]);
+    }
   }
 
   // --- router state: input/output VCs, per-port scan state --------------
@@ -241,7 +235,6 @@ void Engine::save_checkpoint(std::ostream& os) const {
         ser::write_i32(os, ev.router);
         ser::write_i32(os, ev.port);
         ser::write_i32(os, ev.vc);
-        ser::write_i32(os, ev.phits);
       });
       ser::write_u32(os, static_cast<std::uint32_t>(dr.slot_size(slot)));
       dr.visit(slot, [&](const PacketId id) { ser::write_i32(os, id); });
@@ -293,6 +286,15 @@ void Engine::restore(std::istream& is) {
         "forced-injection queues' creation times and flags, per-terminal "
         "offered loads and the trace replay cursor; re-run the "
         "checkpointed experiment to produce a v4 checkpoint)");
+  }
+  if (version == 4) {
+    throw std::runtime_error(
+        "checkpoint format version 4 is not supported by this build "
+        "(version 5 stores the packet pool slab by slab, one slab per "
+        "shard under the sharded engine, and drops the per-packet flit "
+        "count and flit size, the per-flit size and the per-credit phit "
+        "count, which are engine constants; re-run the checkpointed "
+        "experiment to produce a v5 checkpoint)");
   }
   if (version != kCheckpointVersion) {
     throw std::runtime_error(
@@ -358,32 +360,37 @@ void Engine::restore(std::istream& is) {
   for (auto& s : phits_sent_) s = ser::read_u64(is, "phits sent");
   dead_dst_drops_ = ser::read_u64(is, "dead destination drops");
 
-  // --- packet pool -------------------------------------------------------
-  const std::uint64_t slot_count = ser::read_u64(is, "pool slot count");
-  const std::uint64_t free_count = ser::read_u64(is, "pool free count");
-  if (free_count > slot_count) {
-    throw std::runtime_error(
-        "checkpoint corrupt: packet-pool free list larger than the pool");
-  }
-  std::vector<PacketId> free_list(static_cast<std::size_t>(free_count));
-  for (auto& id : free_list) {
-    id = ser::read_i32(is, "pool free id");
-    if (id < 0 || static_cast<std::uint64_t>(id) >= slot_count) {
+  // --- packet pool, slab by slab ----------------------------------------
+  ser::expect_u64(is, pool_.num_slabs(), "packet-pool slab count");
+  for (std::size_t s = 0; s < pool_.num_slabs(); ++s) {
+    const std::uint64_t handed_out = ser::read_u64(is, "pool slot count");
+    const std::uint64_t free_count = ser::read_u64(is, "pool free count");
+    // Ids are 31-bit, so no slab can have handed out more than 2^31.
+    if (handed_out > (std::uint64_t{1} << 31) || free_count > handed_out) {
       throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free id out of range");
+          "checkpoint corrupt: packet-pool free list larger than the pool");
     }
-  }
-  std::vector<std::uint8_t> live(static_cast<std::size_t>(slot_count), 1);
-  for (const PacketId id : free_list) {
-    if (live[static_cast<std::size_t>(id)] == 0) {
-      throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free id listed twice");
+    std::vector<PacketId> free_list(static_cast<std::size_t>(free_count));
+    std::vector<std::uint8_t> live(static_cast<std::size_t>(handed_out), 1);
+    for (auto& id : free_list) {
+      id = ser::read_i32(is, "pool free id");
+      if (id < 0 || pool_.slab_of(id) != s ||
+          pool_.index_in_slab(id) >= handed_out) {
+        throw std::runtime_error(
+            "checkpoint corrupt: packet-pool free id out of range");
+      }
+      std::uint8_t& bit = live[pool_.index_in_slab(id)];
+      if (bit == 0) {
+        throw std::runtime_error(
+            "checkpoint corrupt: packet-pool free id listed twice");
+      }
+      bit = 0;
     }
-    live[static_cast<std::size_t>(id)] = 0;
-  }
-  pool_.restore(static_cast<std::size_t>(slot_count), std::move(free_list));
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live[i]) pool_[static_cast<PacketId>(i)] = read_packet(is);
+    pool_.restore_slab(s, static_cast<std::size_t>(handed_out),
+                       std::move(free_list));
+    for (std::size_t n = 0; n < live.size(); ++n) {
+      if (live[n]) pool_[pool_.id_at(s, n)] = read_packet(is);
+    }
   }
 
   // --- router state ------------------------------------------------------
@@ -513,8 +520,9 @@ void Engine::restore(std::istream& is) {
       for (std::uint32_t k = 0; k < nf; ++k) {
         FlitEvent ev;
         ev.router = ser::read_i32(is, "flit event router");
-        ev.port = ser::read_i32(is, "flit event port");
-        ev.vc = ser::read_i32(is, "flit event vc");
+        ev.port =
+            static_cast<std::int16_t>(ser::read_i32(is, "flit event port"));
+        ev.vc = static_cast<std::int16_t>(ser::read_i32(is, "flit event vc"));
         ev.flit = read_flit(is);
         fr.push(slot, ev);
       }
@@ -522,9 +530,10 @@ void Engine::restore(std::istream& is) {
       for (std::uint32_t k = 0; k < nc; ++k) {
         CreditEvent ev;
         ev.router = ser::read_i32(is, "credit event router");
-        ev.port = ser::read_i32(is, "credit event port");
-        ev.vc = ser::read_i32(is, "credit event vc");
-        ev.phits = ser::read_i32(is, "credit event phits");
+        ev.port = static_cast<std::int16_t>(
+            ser::read_i32(is, "credit event port"));
+        ev.vc =
+            static_cast<std::int16_t>(ser::read_i32(is, "credit event vc"));
         cr.push(slot, ev);
       }
       const std::uint32_t nd = ser::read_u32(is, "delivery event count");

@@ -8,13 +8,15 @@
 //   1. parallel — each shard drains this cycle's slot of its own credit
 //                 and flit rings (arrival bookkeeping, own routers only)
 //   2. serial   — packet deliveries (per-shard delivery rings, ascending
-//                 shard order) + RoutingAlgorithm::per_cycle
-//   3. parallel — per-shard allocation + injection; same-shard future
+//                 shard order; each packet returns to the pool slab of
+//                 the shard that created it) + RoutingAlgorithm::per_cycle
+//   3. parallel — per-shard allocation + injection: packets are created
+//                 here, from the shard's own pool slab; same-shard future
 //                 events go straight into the shard's own rings, only
 //                 cross-shard events (global-link flits and their
 //                 credits) are staged in a per-source-shard outbox
-//   4. serial   — replay the outboxes and hooks, materialize injections,
-//                 reduce counters, in ascending shard order
+//   4. serial   — replay the hooks and the outboxes, reduce counters, in
+//                 ascending shard order; nothing is allocated here
 //
 // The serial work per cycle is O(cross-shard events + shards), not
 // O(all events + shards): intra-shard traffic — all local and terminal
@@ -90,6 +92,7 @@ void Engine::init_shards() {
   shards_.resize(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
+    sh.index = static_cast<std::size_t>(s);
     sh.first_router = s * routers_per_shard_;
     sh.end_router = (s + 1) * routers_per_shard_;
     sh.first_terminal = sh.first_router * terminals_per_router_;
@@ -99,6 +102,9 @@ void Engine::init_shards() {
     sh.credit_ring.reset(ring_size_);
     sh.delivery_ring.reset(ring_size_);
   }
+  // One pool slab per shard: phase 3 creates packets concurrently, each
+  // shard from its own slab (see PacketPool).
+  pool_.reset(shards_.size());
   shard_assign_static_ =
       env_str("DF_SHARD_ASSIGN", "static") != "dynamic";
   shard_workers_ =
@@ -165,12 +171,16 @@ bool Engine::step_sharded_impl() {
   // Phase 2 (serial): deliveries (pool release + user hook) in ascending
   // shard order, then the routing mechanism's global per-cycle work.
   // Ejection happens at the destination router, so a delivery's ring and
-  // its packet's last hop share a shard: ascending-shard drain order
-  // equals the old global wheel's flush order, keeping the pool
-  // free-list sequence (hence future packet ids) unchanged.
+  // its packet's last hop share a shard; the release goes to the slab of
+  // the packet's source shard, so every slab's free-list order is a pure
+  // function of this serial drain order. Then make room in the pool's
+  // chunk table for each shard to create one packet per terminal in
+  // phase 3, whose concurrent allocations must never resize it.
   const std::size_t slot = ring_slot(now_);
   for (Shard& s : shards_) {
     s.delivery_ring.drain(slot, [&](PacketId id) { deliver(id); });
+    pool_.reserve_table(
+        s.index, static_cast<std::size_t>(s.end_terminal - s.first_terminal));
   }
   routing_.per_cycle(*this);
   // Trace rows feed at the same serial point as the exact stepper's:
@@ -187,7 +197,7 @@ bool Engine::step_sharded_impl() {
   // shard order.
   for (Shard& s : shards_) flush_shard(s);
 
-  if (pool_.in_use() > 0 && now_ - last_progress_ > cfg_.watchdog_cycles) {
+  if (now_ - last_progress_ > cfg_.watchdog_cycles && pool_.in_use() > 0) {
     deadlock_ = true;
   }
   ++now_;
@@ -222,7 +232,7 @@ void Engine::arrive_shard(Shard& s) {
       [&](const CreditEvent& ev) {
         const std::size_t ovidx = vc_index(ev.router, ev.port, ev.vc);
         OutputVc& ovc = out_vcs_[ovidx];
-        ovc.credits_phits += ev.phits;
+        ovc.credits_phits += flit_phits_;
         assert(ovc.credits_phits <= port_capacity(ev.port));
         wake_waiters(ovidx);  // waiter chains never leave the router
       });
@@ -246,12 +256,11 @@ void Engine::arrive_shard(Shard& s) {
           port_wake_[pidx] = 0;  // a fresh head makes the port actionable
         }
         ivc.fifo.push_back(ev.flit);
-        ivc.occupancy_phits += ev.flit.size_phits;
+        ivc.occupancy_phits += flit_phits_;
         if (pclass(ev.port) == PortClass::kTerminal) {
           const NodeId t = ev.router * terminals_per_router_ +
                            (ev.port - first_terminal_port_);
-          terminals_[static_cast<size_t>(t)].inflight_phits -=
-              ev.flit.size_phits;
+          terminals_[static_cast<size_t>(t)].inflight_phits -= flit_phits_;
         }
         assert(ivc.occupancy_phits <= port_capacity(ev.port));
       });
@@ -351,10 +360,9 @@ void Engine::allocate_and_inject_shard(Shard& s) {
 }
 
 // try_inject + materialize, restricted to owner-shard state: the packet
-// itself (a pool allocation, hence cross-shard) is staged and materialized
-// at the flush, but the source-side bookkeeping — queue pop, destination
-// draw, inflight/link accounting — happens here so the next cycle's
-// capacity checks see it.
+// comes from the shard's own pool slab (the serial deliver phase reserved
+// the chunk-table room), and its flits enter the shard's own wheel — the
+// source terminal's router is in this shard.
 void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
                               Shard& s) {
   if (!terminal_has_work(t, ts)) return;
@@ -424,9 +432,7 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
     return;
   }
 
-  ts.inflight_phits += cfg_.packet_phits;
-  ts.link_busy_until = now_ + static_cast<Cycle>(cfg_.packet_phits);
-  s.injections.push_back({t, dst, created, flags});
+  inject_packet(s.index, t, ts, dst, created, flags, s.flit_ring);
   s.progressed = true;
 }
 
@@ -465,39 +471,6 @@ void Engine::flush_shard(Shard& s) {
     shards_[shard_of(f.ev.router)].flit_ring.push(ring_slot(f.at), f.ev);
   }
   s.outbox_flits.clear();
-
-  for (const StagedInjection& inj : s.injections) {
-    const PacketId id = pool_.alloc();
-    Packet& pkt = pool_[id];
-    pkt.src = inj.terminal;
-    pkt.dst = inj.dst;
-    pkt.size_phits = cfg_.packet_phits;
-    pkt.num_flits = static_cast<std::int16_t>(flits_per_packet_);
-    pkt.flit_phits = static_cast<std::int16_t>(flit_phits_);
-    pkt.created = inj.created;
-    pkt.injected = now_;
-    pkt.flags = inj.flags;
-    pkt.rs.dst_router = topo_.router_of_terminal(inj.dst);
-    pkt.rs.dst_group = topo_.group_of_terminal(inj.dst);
-    pkt.rs.src_group = topo_.group_of_terminal(inj.terminal);
-
-    // The source terminal's router is in this very shard, so injection
-    // flits go straight into s's own wheel (we are serial here; nothing
-    // is draining it).
-    const RouterId r = topo_.router_of_terminal(inj.terminal);
-    const PortId port = topo_.terminal_port(inj.terminal);
-    for (int k = 0; k < flits_per_packet_; ++k) {
-      Flit flit;
-      flit.packet = id;
-      flit.index = static_cast<std::int16_t>(k);
-      flit.size_phits = static_cast<std::int16_t>(flit_phits_);
-      flit.head = (k == 0);
-      flit.tail = (k == flits_per_packet_ - 1);
-      const Cycle at = now_ + static_cast<Cycle>((k + 1) * flit_phits_);
-      s.flit_ring.push(ring_slot(at), {r, port, 0, flit});
-    }
-  }
-  s.injections.clear();
 
   for (int c = 0; c < 3; ++c) {
     phits_sent_[c] += s.phits_sent[c];

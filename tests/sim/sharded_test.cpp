@@ -16,7 +16,9 @@
 #include "api/config.hpp"
 #include "api/experiment.hpp"
 #include "api/simulator.hpp"
+#include "routing/factory.hpp"
 #include "runtime/parallel_for.hpp"
+#include "sim/engine.hpp"
 #include "traffic/factory.hpp"
 #include "traffic/pattern.hpp"
 
@@ -43,6 +45,26 @@ SimConfig sharded_config() {
   cfg.load = 0.3;
   cfg.seed = 11;
   return cfg;
+}
+
+/// p2a6h3g8: a < 2h leaves global-port slots unwired, g < a*h + 1 wires
+/// several links between each group pair, and its 8 groups split
+/// raggedly across worker counts.
+SimConfig unbalanced_config() {
+  SimConfig cfg = sharded_config();
+  cfg.h = 0;
+  cfg.topo = "p2a6h3g8";
+  return cfg;
+}
+
+/// The engine checkpoint of `cfg` cut after `cycles` cycles at `jobs`.
+std::string checkpoint_after(const SimConfig& cfg, int jobs, Cycle cycles) {
+  JobsGuard guard(jobs);
+  SimulationRun run = SimulationRun::steady(cfg);
+  run.advance(cycles);
+  std::stringstream snap;
+  run.save_checkpoint(snap);
+  return snap.str();
 }
 
 SteadyResult steady_with_jobs(const SimConfig& cfg, int jobs) {
@@ -102,13 +124,9 @@ TEST(ShardedDeterminism, FaultedTopologyIsWorkerCountInvariant) {
 }
 
 TEST(ShardedDeterminism, UnbalancedShapeIsWorkerCountInvariant) {
-  // p2a6h3g8: a < 2h leaves global-port slots unwired, g < a*h + 1 wires
-  // several links between each group pair, and the group count does not
-  // divide evenly across 8 workers — the shard partitioner must handle
-  // ragged group-to-worker assignments without the RNG keying noticing.
-  SimConfig cfg = sharded_config();
-  cfg.h = 0;
-  cfg.topo = "p2a6h3g8";
+  // The shard partitioner must handle ragged group-to-worker assignments
+  // without the RNG keying noticing.
+  const SimConfig cfg = unbalanced_config();
   const SteadyResult serial = steady_with_jobs(cfg, 1);
   const SteadyResult parallel = steady_with_jobs(cfg, 8);
   EXPECT_GT(serial.delivered, 0u);
@@ -192,27 +210,72 @@ TEST(ShardedCheckpoint, MidRunCutResumesBitIdentically) {
 
 TEST(ShardedCheckpoint, CheckpointStreamIsWorkerCountInvariant) {
   // Stronger than result equality: the serialized engine state itself —
-  // every queue, credit counter, and in-flight packet — must match byte
-  // for byte between worker counts.
-  const SimConfig cfg = sharded_config();
-  std::string bytes_serial, bytes_parallel;
-  {
-    JobsGuard guard(1);
-    SimulationRun run = SimulationRun::steady(cfg);
-    run.advance(700);
-    std::stringstream snap;
-    run.save_checkpoint(snap);
-    bytes_serial = snap.str();
+  // every queue, credit counter, in-flight packet and per-shard pool
+  // slab — must match byte for byte between worker counts.
+  for (const SimConfig& cfg : {sharded_config(), unbalanced_config()}) {
+    SCOPED_TRACE(cfg.topo.empty() ? "h=2" : cfg.topo);
+    EXPECT_EQ(checkpoint_after(cfg, 1, 700), checkpoint_after(cfg, 8, 700));
   }
-  {
-    JobsGuard guard(8);
-    SimulationRun run = SimulationRun::steady(cfg);
-    run.advance(700);
+}
+
+TEST(ShardedCheckpoint, KilledRunResumesToByteIdenticalEnd) {
+  // A run cut mid-measurement and resumed in a fresh process image must
+  // end in exactly the state of the uninterrupted run: same results and
+  // the same final checkpoint bytes.
+  for (const SimConfig& cfg : {sharded_config(), unbalanced_config()}) {
+    SCOPED_TRACE(cfg.topo.empty() ? "h=2" : cfg.topo);
+    JobsGuard guard(4);
+    SimulationRun reference = SimulationRun::steady(cfg);
+    reference.run_to_completion();
+    std::stringstream end_ref;
+    reference.save_checkpoint(end_ref);
+
     std::stringstream snap;
-    run.save_checkpoint(snap);
-    bytes_parallel = snap.str();
+    {
+      SimulationRun killed = SimulationRun::steady(cfg);
+      killed.advance(900);
+      killed.save_checkpoint(snap);
+    }
+    SimulationRun resumed = SimulationRun::steady(cfg);
+    resumed.restore(snap);
+    resumed.run_to_completion();
+    std::stringstream end_resumed;
+    resumed.save_checkpoint(end_resumed);
+
+    expect_same_steady(reference.steady_result(), resumed.steady_result());
+    EXPECT_EQ(end_ref.str(), end_resumed.str());
   }
-  EXPECT_EQ(bytes_serial, bytes_parallel);
+}
+
+TEST(ShardedCheckpoint, ParallelPacketCreationMatchesSerial) {
+  // Phase 3 creates packets on every worker at once, each shard from its
+  // own pool slab, and grows the slabs' chunks concurrently. At a
+  // saturating load on 4 workers the slabs must end up exactly as a
+  // single worker leaves them (the tsan job runs this case).
+  DragonflyTopology topo(3);  // 19 shards over 4 workers
+  UniformPattern pattern(topo);
+  InjectionProcess inj;
+  inj.load = 1.0;
+  const auto run = [&](int jobs) {
+    EngineConfig ec;
+    ec.sharded = true;
+    ec.shard_jobs = jobs;
+    const auto routing = make_routing("olm", topo, {});
+    Engine engine(topo, ec, *routing, pattern, inj);
+    engine.run_until(500);
+    EXPECT_FALSE(engine.deadlock_detected());
+    const PacketPool& pool = engine.packet_pool();
+    EXPECT_EQ(pool.num_slabs(), static_cast<std::size_t>(topo.num_groups()));
+    int multi_chunk = 0;
+    for (std::size_t s = 0; s < pool.num_slabs(); ++s) {
+      if (pool.handed_out(s) > PacketPool::kChunkPackets) ++multi_chunk;
+    }
+    EXPECT_GT(multi_chunk, 1) << "slabs must grow during the parallel phase";
+    std::stringstream snap;
+    engine.save_checkpoint(snap);
+    return snap.str();
+  };
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(ShardedCheckpoint, EngineModeMismatchIsRejected) {
@@ -293,6 +356,30 @@ TEST(ShardedCheckpoint, VersionThreeRejectedPointedly) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("version 3"), std::string::npos) << msg;
     EXPECT_NE(msg.find("workload"), std::string::npos) << msg;
+  }
+}
+
+TEST(ShardedCheckpoint, VersionFourRejectedPointedly) {
+  // v5 saves the packet pool slab by slab and drops the flit/credit size
+  // fields. A v4 stream must fail with a message naming that, not be
+  // misparsed as one slab.
+  std::string bytes = checkpoint_after(sharded_config(), 1, 700);
+  const std::size_t eng = bytes.find("DFENGCK\n");
+  ASSERT_NE(eng, std::string::npos);
+  bytes[eng + 8] = 4;
+  bytes[eng + 9] = 0;
+  bytes[eng + 10] = 0;
+  bytes[eng + 11] = 0;
+
+  SimulationRun fresh = SimulationRun::steady(sharded_config());
+  std::istringstream is(bytes);
+  try {
+    fresh.restore(is);
+    FAIL() << "restore() accepted a version-4 engine section";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("version 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("slab"), std::string::npos) << msg;
   }
 }
 
