@@ -8,7 +8,6 @@
 
 #include "common/env.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/work_queue.hpp"
 
 namespace dfsim::runtime {
 
@@ -48,24 +47,25 @@ void parallel_for(std::size_t n, int jobs,
     return;
   }
 
-  // Over-shard 4x so slow points (high load, adversarial patterns) don't
-  // leave the other workers idle at the tail of the grid.
-  ShardedIndexQueue queue(n, static_cast<std::size_t>(workers) * 4);
+  // Workers claim one index at a time: sweep points differ in run time
+  // by up to an order of magnitude (a saturated point simulates far more
+  // traffic than a light one), and claiming several neighbours at once
+  // chains the slow high-load points on one worker. A claim is one
+  // atomic add, negligible next to any point.
+  std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mu;
 
   ThreadPool pool(workers);
   for (int w = 0; w < workers; ++w) {
     pool.submit([&] {
-      std::size_t begin = 0, end = 0;
-      while (queue.next(begin, end)) {
-        for (std::size_t i = begin; i < end; ++i) {
-          try {
-            body(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!first_error) first_error = std::current_exception();
         }
       }
     });

@@ -1,7 +1,8 @@
 // parallel_for: execute body(0..n-1) across a thread pool, claiming work
-// through a sharded index queue. Results written by index are bit-identical
-// to a serial loop regardless of worker count — the backbone of
-// `parallel_sweep` and every figure bench's (routing, load) grid.
+// one index at a time through an atomic counter. Results written by index
+// are bit-identical to a serial loop regardless of worker count — the
+// backbone of `parallel_sweep` and every figure bench's (routing, load)
+// grid.
 #pragma once
 
 #include <cstddef>

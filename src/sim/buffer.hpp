@@ -7,20 +7,29 @@
 
 namespace dfsim {
 
+/// Flits per FlitQueue chunk: with the chunk's 8-byte link header, seven
+/// 8-byte flits fill exactly one 64-byte cache line.
+inline constexpr int kFlitChunkFlits = 7;
+using FlitQueue = ChunkQueue<Flit, kFlitChunkFlits>;
+using FlitSlab = FlitQueue::Slab;
+static_assert(sizeof(FlitQueue) == 12 && sizeof(FlitSlab::Chunk) == 64);
+
 /// One FIFO virtual-channel buffer on an input port. Occupancy is counted
-/// in phits against the configured capacity for the port class. The flit
-/// storage is a fixed-capacity ring bound to a slice of the engine's
-/// contiguous arena — capacity is buffer_capacity(class) / flit size, so
-/// no push can ever exceed it while credits are accounted correctly.
+/// in phits against the configured capacity for the port class; credits
+/// keep every VC within buffer_capacity(class) / flit size flits. The
+/// flits themselves live in chunks of the engine's flit slab for the
+/// router's shard, taken as the VC fills and returned as it drains, so
+/// an empty VC holds no flit memory at all.
 struct InputVc {
-  FixedRing<Flit> fifo;  // 16 bytes
+  FlitQueue fifo;  // 12 bytes; every call passes the router's flit slab
   std::int32_t occupancy_phits = 0;
 
   /// Wormhole: while a multi-flit packet is being forwarded, body flits
   /// must follow the head's switch decision. Set when a head flit that is
   /// not also a tail wins allocation; cleared when the tail is forwarded.
-  /// 16-bit on purpose (ports number < 64): the whole struct packs into
-  /// 32 bytes, two VCs per cache line on the allocation scan.
+  /// 16-bit on purpose (SimConfig::validate caps ports at 2047): the
+  /// whole struct packs into 32 bytes, two VCs per cache line on the
+  /// allocation scan.
   std::int16_t bound_out_port = kInvalid16;
   std::int16_t bound_out_vc = kInvalid16;
 

@@ -96,14 +96,14 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
     throw std::invalid_argument(
         "more than 16 VCs per port unsupported (nonempty-VC bitmask)");
   }
-  // FixedRing tracks its slice with 16-bit indices; a silent narrowing
-  // would corrupt neighboring VCs' arena slices, so reject up front.
+  // A VC's flit FIFO counts its flits in 16 bits; a silent narrowing
+  // would corrupt the queue, so reject up front.
   if (std::max({cfg_.local_buf_phits, cfg_.global_buf_phits,
                 injection_buf_phits_}) /
           flit_phits_ >
-      INT16_MAX) {
+      FlitQueue::kMaxSize) {
     throw std::invalid_argument(
-        "buffer capacity above 32767 flits unsupported (16-bit rings)");
+        "buffer capacity above 32767 flits unsupported (16-bit VC queues)");
   }
 
   cap_by_class_[static_cast<int>(PortClass::kLocal)] = cfg_.local_buf_phits;
@@ -160,31 +160,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
                          0);
   nonempty_vcs_.assign(num_routers, 0);
   active_routers_.assign((num_routers + 63) / 64, 0);
-
-  // Carve the per-VC flit rings out of one contiguous arena. Every flit
-  // in flight is exactly flit_phits_ phits, so a VC of capacity C phits
-  // holds at most C / flit_phits_ flits.
-  std::size_t total_flits = 0;
-  for (PortId p = 0; p < ports_; ++p) {
-    const std::size_t cap_flits = static_cast<std::size_t>(
-        port_capacity(p) / flit_phits_);
-    total_flits +=
-        cap_flits * static_cast<std::size_t>(vc_count(p)) * num_routers;
-  }
-  flit_arena_.resize(total_flits);
-  std::size_t offset = 0;
-  for (RouterId r = 0; r < topo_.num_routers(); ++r) {
-    for (PortId p = 0; p < ports_; ++p) {
-      const auto cap_flits =
-          static_cast<std::int32_t>(port_capacity(p) / flit_phits_);
-      assert(cap_flits >= 1);
-      for (VcId v = 0; v < vc_count(p); ++v) {
-        in_vc(r, p, v).fifo.bind(flit_arena_.data() + offset, cap_flits);
-        offset += static_cast<std::size_t>(cap_flits);
-      }
-    }
-  }
-  assert(offset == total_flits);
 
   // Initialize credits to the downstream buffer capacity. Port classes
   // match across a link (local<->local, global<->global). Cache the far
@@ -291,7 +266,7 @@ void Engine::process_arrivals() {
       port_wake_[pidx] = 0;  // a fresh head makes the port actionable
       mark_router_active(ev.router);
     }
-    ivc.fifo.push_back(ev.flit);
+    ivc.fifo.push_back(flit_slab_, ev.flit);
     ivc.occupancy_phits += flit_phits_;
     if (pclass(ev.port) == PortClass::kTerminal) {
       const NodeId t = ev.router * terminals_per_router_ +
@@ -436,6 +411,9 @@ void Engine::allocate_active_routers() {
 void Engine::allocate_router(RouterId r, AllocScratch& scratch,
                              Shard* shard) {
   const std::size_t rbase = port_index(r, 0);
+  // Nothing below pushes or pops a flit until the sends after the
+  // nomination scan, so a Flit& read from the slab stays valid throughout.
+  const FlitSlab& slab = shard != nullptr ? shard->flit_slab : flit_slab_;
 
   scratch.noms.clear();
   scratch.touched_outs.clear();
@@ -492,7 +470,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
         if (hh >= 0) {
           // Cached pure-minimal verdict for this head: decide() would
           // return exactly this hop iff usable. Neither the packet pool
-          // nor the flit arena needs to be touched to retry it.
+          // nor the flit slab needs to be touched to retry it.
           const PortId op = hh >> 4;
           const VcId ov = hh & 0xf;
           if (!head_usable(r, op, ov)) {
@@ -508,7 +486,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
           nom.choice = RouteChoice{op, ov};
         } else if (ivc.bound_out_port != kInvalid) {
           // Wormhole continuation: body flits follow the head's decision.
-          const Flit& flit = ivc.fifo.front();
+          const Flit& flit = ivc.fifo.front(slab);
           if (!output_usable(r, ivc.bound_out_port, ivc.bound_out_vc,
                              flit)) {
             suppress_retry(vidx, ivc, r, ivc.bound_out_port,
@@ -521,7 +499,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
           nom.out_port = ivc.bound_out_port;
           nom.out_vc = ivc.bound_out_vc;
         } else {
-          const Flit& flit = ivc.fifo.front();
+          const Flit& flit = ivc.fifo.front(slab);
           assert(flit.head);
           Packet& pkt = pool_[flit.packet];
           // Sharded mode draws from a counter-based stream keyed by
@@ -659,8 +637,9 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
                        const RouteChoice* fresh_choice, Shard* shard) {
   const std::size_t in_vidx = vc_index(r, in_port, in_vc_id);
   InputVc& ivc = in_vcs_[in_vidx];
-  const Flit flit = ivc.fifo.front();
-  ivc.fifo.pop_front();
+  FlitSlab& slab = shard != nullptr ? shard->flit_slab : flit_slab_;
+  const Flit flit = ivc.fifo.front(slab);
+  ivc.fifo.pop_front(slab);
   ivc.occupancy_phits -= flit_phits_;
   head_hop_[in_vidx] = kHeadUnknown;  // whatever follows is a new head
   if (ivc.fifo.empty()) {
@@ -1000,7 +979,7 @@ std::size_t Engine::footprint_bytes() const {
   };
   std::size_t total = sizeof(Engine);
   total += vec(port_class_) + vec(vc_count_);
-  total += vec(in_vcs_) + vec(out_vcs_) + vec(flit_arena_);
+  total += vec(in_vcs_) + vec(out_vcs_) + flit_slab_.footprint_bytes();
   total += vec(vc_sleep_until_) + vec(head_hop_) + vec(port_wake_);
   total += vec(ovc_waiter_head_) + vec(vc_waiter_next_);
   total += vec(endpoints_) + vec(out_busy_until_) + vec(in_scan_) +
@@ -1021,13 +1000,14 @@ std::size_t Engine::footprint_bytes() const {
            vec(scratch_.touched_outs);
   total += flit_ring_.footprint_bytes() + credit_ring_.footprint_bytes() +
            delivery_ring_.footprint_bytes();
-  // Shard-owned allocations: the per-shard timing wheels, outboxes and
-  // staging vectors are where the sharded engine's event memory actually
-  // lives (the global wheels above stay empty in sharded mode).
+  // Shard-owned allocations: the per-shard timing wheels, flit slabs,
+  // outboxes and staging vectors are where the sharded engine's event and
+  // buffer memory actually lives (the global wheels and flit slab above
+  // stay empty in sharded mode).
   total += vec(shards_);
   for (const Shard& s : shards_) {
     total += s.flit_ring.footprint_bytes() + s.credit_ring.footprint_bytes() +
-             s.delivery_ring.footprint_bytes();
+             s.delivery_ring.footprint_bytes() + s.flit_slab.footprint_bytes();
     total += vec(s.outbox_flits) + vec(s.outbox_credits);
     total += vec(s.hops) + vec(s.gen_accepted);
     total += vec(s.scratch.noms) + vec(s.scratch.out_first_nom) +

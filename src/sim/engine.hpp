@@ -13,11 +13,12 @@
 //
 // Hot-path layout: all per-router and per-terminal state lives in flat
 // engine-level arrays (no per-router heap objects), every input VC's flit
-// FIFO is a fixed-capacity ring carved from one contiguous arena, and the
-// timing wheels recycle slab chunks across wraps. Two bitmap worklists —
-// active routers and terminals with pending work — keep step() away from
-// idle state entirely. All of it is iterated in ascending id order, so
-// results are bit-identical to the exhaustive scans they replaced.
+// FIFO is a chain of 64-byte chunks from its shard's flit slab (held only
+// while the VC holds flits), and the timing wheels recycle slab chunks
+// across wraps. Two bitmap worklists — active routers and terminals with
+// pending work — keep step() away from idle state entirely. All of it is
+// iterated in ascending id order, so results are bit-identical to the
+// exhaustive scans they replaced.
 #pragma once
 
 #include <algorithm>
@@ -173,14 +174,20 @@ class Engine {
   };
   const PhaseProfile& phase_profile() const { return profile_data_; }
   bool profiling() const { return profile_; }
-  /// Resident bytes of the engine's own state arrays (arenas, VC state,
-  /// worklists, terminals, timing wheels, packet pool with its chunk
-  /// table and free lists, allocation scratch, per-shard staging). Used
-  /// by the scale benches to report bytes-per-terminal; excludes malloc
-  /// overhead.
+  /// Resident bytes of the engine's own state arrays (VC state, flit
+  /// slabs, worklists, terminals, timing wheels, packet pool with its
+  /// chunk table and free lists, allocation scratch, per-shard staging).
+  /// Used by the scale benches to report bytes-per-terminal; excludes
+  /// malloc overhead.
   std::size_t footprint_bytes() const;
   /// The packet pool (memory audits and tests).
   const PacketPool& packet_pool() const { return pool_; }
+  /// The slabs holding the input-VC flits: one per shard in sharded mode,
+  /// one in exact mode (memory audits and tests).
+  std::size_t num_flit_slabs() const { return sharded_ ? shards_.size() : 1; }
+  const FlitSlab& flit_slab(std::size_t i) const {
+    return sharded_ ? shards_[i].flit_slab : flit_slab_;
+  }
 
   /// sizeof(Engine) as compiled into the library. A client translation
   /// unit that sees a different layout (a header member that depends on
@@ -334,7 +341,7 @@ class Engine {
   static constexpr std::uint32_t kCheckpointVersion = 5;
 
   /// Serialize the complete dynamic engine state behind a versioned,
-  /// shape-checked header: every input-VC FIFO (flit arena slices), all
+  /// shape-checked header: every input-VC FIFO (its flits in order), all
   /// credits and wormhole VC bindings, the timing-wheel events in flight,
   /// the packet pool (slots AND free-list order, per slab), per-terminal
   /// injection state including Markov ON/OFF chains, the RNG cursor,
@@ -420,6 +427,15 @@ class Engine {
   InputVc& in_vc(RouterId r, PortId port, VcId vc) {
     return in_vcs_[vc_index(r, port, vc)];
   }
+  /// The flit slab behind router r's input VCs. Only the thread running
+  /// r's shard may push or pop through it; in the parallel phases the
+  /// callers already hold that shard and pass its slab directly.
+  FlitSlab& router_flit_slab(RouterId r) {
+    return sharded_ ? shards_[shard_of(r)].flit_slab : flit_slab_;
+  }
+  const FlitSlab& router_flit_slab(RouterId r) const {
+    return sharded_ ? shards_[shard_of(r)].flit_slab : flit_slab_;
+  }
   OutputVc& out_vc(RouterId r, PortId port, VcId vc) {
     return out_vcs_[vc_index(r, port, vc)];
   }
@@ -444,7 +460,7 @@ class Engine {
   }
 
   /// output_usable() specialized for a head flit (every flit in flight is
-  /// exactly flit_phits_ phits), so pure retries skip the arena read.
+  /// exactly flit_phits_ phits), so pure retries skip the flit read.
   bool head_usable(RouterId r, PortId port, VcId vc) const {
     if (out_busy_until_[port_index(r, port)] > now_) return false;
     if (pclass(port) == PortClass::kTerminal) return true;
@@ -643,7 +659,7 @@ class Engine {
   /// whenever the VC's head changes (send, or arrival into an empty VC);
   /// the head's RouteState cannot change between those points, so a
   /// cached verdict never goes stale. Pure retries then touch neither the
-  /// packet pool nor the flit arena.
+  /// packet pool nor the flit slab.
   std::vector<std::int16_t> head_hop_;
   static constexpr std::int16_t kHeadUnknown = -1;
   static constexpr std::int16_t kHeadImpure = -2;
@@ -654,7 +670,6 @@ class Engine {
   std::vector<std::int32_t> ovc_waiter_head_;
   std::vector<std::int32_t> vc_waiter_next_;
   static constexpr std::int32_t kNotWaiting = -2;
-  std::vector<Flit> flit_arena_;  // backs every InputVc::fifo
   std::vector<DragonflyTopology::Endpoint> endpoints_;  // [router*ports+port]
   std::vector<Cycle> out_busy_until_;          // [router*ports+port]
   /// Input-side per-port scan state, packed so the allocation scan loads
@@ -713,6 +728,10 @@ class Engine {
   Cycle last_progress_ = 0;
   bool deadlock_ = false;
 
+  /// Exact mode's flit slab, behind every input VC (the sharded stepper
+  /// uses one per shard instead).
+  FlitSlab flit_slab_;
+
   std::size_t ring_size_ = 0;
   SlabEventRing<FlitEvent> flit_ring_;
   SlabEventRing<CreditEvent> credit_ring_;
@@ -765,6 +784,10 @@ class Engine {
     SlabEventRing<FlitEvent> flit_ring;
     SlabEventRing<CreditEvent> credit_ring;
     SlabEventRing<PacketId> delivery_ring;
+    // The flits buffered in this shard's input VCs. Arrivals push (phase
+    // 1) and sends pop (phase 3) only for the shard's own routers, so no
+    // other worker ever touches it.
+    FlitSlab flit_slab;
     // Cross-shard events staged during the parallel allocation phase,
     // replayed serially in ascending source-shard order. One outbox per
     // source shard suffices: events bound for different destination

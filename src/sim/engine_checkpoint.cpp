@@ -153,16 +153,12 @@ void Engine::save_checkpoint(std::ostream& os) const {
 
   // --- router state: input/output VCs, per-port scan state --------------
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
+    const FlitSlab& slab = router_flit_slab(r);
     for (PortId p = 0; p < ports_; ++p) {
       for (VcId v = 0; v < vc_count(p); ++v) {
         const InputVc& ivc = in_vcs_[vc_index(r, p, v)];
         ser::write_u32(os, static_cast<std::uint32_t>(ivc.fifo.size()));
-        // FixedRing exposes only the front; visit by draining a copy.
-        FixedRing<Flit> walk = ivc.fifo;
-        while (!walk.empty()) {
-          write_flit(os, walk.front());
-          walk.pop_front();
-        }
+        ivc.fifo.visit(slab, [&](const Flit& f) { write_flit(os, f); });
         ser::write_i32(os, ivc.occupancy_phits);
         ser::write_i32(os, ivc.bound_out_port);
         ser::write_i32(os, ivc.bound_out_vc);
@@ -395,18 +391,21 @@ void Engine::restore(std::istream& is) {
 
   // --- router state ------------------------------------------------------
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
+    FlitSlab& slab = router_flit_slab(r);
     for (PortId p = 0; p < ports_; ++p) {
+      const auto cap_flits =
+          static_cast<std::uint32_t>(port_capacity(p) / flit_phits_);
       for (VcId v = 0; v < vc_count(p); ++v) {
         const std::size_t vidx = vc_index(r, p, v);
         InputVc& ivc = in_vcs_[vidx];
         const std::uint32_t nflits = ser::read_u32(is, "input VC depth");
-        if (static_cast<std::int32_t>(nflits) > ivc.fifo.capacity()) {
+        if (nflits > cap_flits) {
           throw std::runtime_error(
               "checkpoint corrupt: input VC holds more flits than its "
               "buffer capacity");
         }
         for (std::uint32_t k = 0; k < nflits; ++k) {
-          ivc.fifo.push_back(read_flit(is));
+          ivc.fifo.push_back(slab, read_flit(is));
         }
         ivc.occupancy_phits = ser::read_i32(is, "input VC occupancy");
         ivc.bound_out_port =

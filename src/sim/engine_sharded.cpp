@@ -255,7 +255,7 @@ void Engine::arrive_shard(Shard& s) {
           scan |= 1u << (16 + ev.vc);
           port_wake_[pidx] = 0;  // a fresh head makes the port actionable
         }
-        ivc.fifo.push_back(ev.flit);
+        ivc.fifo.push_back(s.flit_slab, ev.flit);
         ivc.occupancy_phits += flit_phits_;
         if (pclass(ev.port) == PortClass::kTerminal) {
           const NodeId t = ev.router * terminals_per_router_ +

@@ -86,7 +86,7 @@ static_assert(sizeof(Packet) == 64, "a packet is one cache line");
 
 /// One buffered flit: 8 bytes. Every flit of a run is flit_phits() phits
 /// long, so the size lives in the engine, not in each of the millions of
-/// flits that sit in the VC arena and the timing wheels.
+/// flits that sit in the VC buffers and the timing wheels.
 struct Flit {
   PacketId packet = kInvalid;
   std::int16_t index = 0;  ///< position in its packet (0 = head)
@@ -95,7 +95,7 @@ struct Flit {
 };
 static_assert(sizeof(Flit) == 8);
 
-// Flits are copied into arena ring buffers and event slabs with plain
+// Flits are copied into VC buffer chunks and event slabs with plain
 // stores; keep them trivially copyable.
 static_assert(std::is_trivially_copyable_v<Flit>);
 

@@ -1,8 +1,8 @@
 // The contract of the parallel sweep runtime: worker count changes
 // wall-clock, never results. 1 worker and N workers must produce the same
 // ExperimentResult vector — same seeds, same ordering, bit-identical
-// metrics — and the primitives underneath (parallel_for, the sharded
-// queue, seed derivation) must be deterministic and complete.
+// metrics — and the primitives underneath (parallel_for, seed
+// derivation) must be deterministic and complete.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "api/sweep.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/seed.hpp"
-#include "runtime/work_queue.hpp"
 
 namespace dfsim {
 namespace {
@@ -155,22 +154,6 @@ TEST(ParallelForTest, ParallelMapIsOrdered) {
   ASSERT_EQ(out.size(), 257u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], i * i);
-  }
-}
-
-TEST(ShardedIndexQueueTest, ShardsPartitionTheRange) {
-  runtime::ShardedIndexQueue queue(103, 8);
-  std::vector<bool> covered(103, false);
-  std::size_t begin = 0, end = 0;
-  while (queue.next(begin, end)) {
-    ASSERT_LE(end, covered.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      ASSERT_FALSE(covered[i]) << "index " << i << " claimed twice";
-      covered[i] = true;
-    }
-  }
-  for (std::size_t i = 0; i < covered.size(); ++i) {
-    ASSERT_TRUE(covered[i]) << "index " << i << " never claimed";
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
 #include "../test_util.hpp"
 #include "traffic/pattern.hpp"
 
@@ -44,6 +49,20 @@ Cycle expected_latency(const DragonflyTopology& topo, NodeId src, NodeId dst,
   }
   total += static_cast<Cycle>(phits);  // ejection
   return total;
+}
+
+/// Most flits any input VC of routers [first, end) holds.
+std::int32_t deepest_vc(const Engine& engine, RouterId first, RouterId end) {
+  const DragonflyTopology& topo = engine.topology();
+  std::int32_t depth = 0;
+  for (RouterId r = first; r < end; ++r) {
+    for (PortId p = 0; p < topo.ports_per_router(); ++p) {
+      for (VcId v = 0; v < engine.vc_count(p); ++v) {
+        depth = std::max(depth, engine.input_vc(r, p, v).fifo.size());
+      }
+    }
+  }
+  return depth;
 }
 
 TEST(Engine, SingleMinimalPacketLatencyIsExact) {
@@ -236,6 +255,89 @@ TEST(Engine, PhitAccounting) {
   EXPECT_EQ(net.engine.phits_sent(PortClass::kTerminal), 8u);
   // At least one global hop was taken.
   EXPECT_GE(net.engine.phits_sent(PortClass::kGlobal), 8u);
+}
+
+// Checkpoints store each VC's flits in FIFO order, not the slab chunks
+// that hold them: a restored engine lays its chunks out afresh, so the
+// bytes it saves — now and after running on — must match the original's.
+TEST(Engine, MultiChunkWormholeCheckpointRoundTripsByteForByte) {
+  EngineConfig ec;
+  ec.flow = FlowControl::kWormhole;
+  ec.packet_phits = 80;
+  ec.flit_phits = 10;  // 16-flit injection and 25-flit global VCs
+  ec.seed = 5;
+  DragonflyTopology topo(2);
+  auto routing = make_routing("minimal", topo, {});
+  UniformPattern pattern(topo);
+  InjectionProcess inj;
+  inj.load = 0.9;
+  Engine engine(topo, ec, *routing, pattern, inj);
+
+  // Run until some VC spans three chunks (more than 14 flits).
+  const auto deepest = [&] {
+    return deepest_vc(engine, 0, topo.num_routers());
+  };
+  while (deepest() <= 2 * kFlitChunkFlits && engine.now() < 5000) {
+    ASSERT_TRUE(engine.step());
+  }
+  ASSERT_GT(deepest(), 2 * kFlitChunkFlits);
+
+  std::stringstream saved;
+  engine.save_checkpoint(saved);
+  Engine restored(topo, ec, *routing, pattern, inj);
+  restored.restore(saved);
+  std::stringstream resaved;
+  restored.save_checkpoint(resaved);
+  EXPECT_EQ(saved.str(), resaved.str());
+
+  engine.run_until(engine.now() + 600);
+  restored.run_until(restored.now() + 600);
+  std::stringstream a;
+  std::stringstream b;
+  engine.save_checkpoint(a);
+  restored.save_checkpoint(b);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_GT(engine.delivered_packets(), 0u);
+}
+
+// Nothing but the restore check bounds a VC FIFO (it grows on demand), so
+// a checkpoint whose VC holds more flits than this engine's buffers can
+// must be rejected, not loaded. Buffer sizes are not in the checkpoint
+// header, so a run saved with 64-phit local buffers exercises the check.
+TEST(Engine, RestoreRejectsVcDeeperThanItsBuffer) {
+  EngineConfig deep = small_vct();
+  deep.local_buf_phits = 64;  // 8 flits per local VC
+  DragonflyTopology topo(2);
+  auto routing = make_routing("minimal", topo, {});
+  NeverPattern never;
+  Engine engine(topo, deep, *routing, never, {});
+  // Six terminals on routers 1-3 of group 0 all send to router 0, whose
+  // single ejection port drains one flit per 8 cycles: its local input
+  // VCs back up past the 4 flits a 32-phit buffer holds.
+  const NodeId dst = topo.terminal_id(topo.router_id(0, 0), 0);
+  for (int k = 1; k < topo.routers_per_group(); ++k) {
+    for (int t = 0; t < topo.terminals_per_router(); ++t) {
+      for (int n = 0; n < 30; ++n) {
+        engine.inject_for_test(topo.terminal_id(topo.router_id(0, k), t),
+                               dst, 0);
+      }
+    }
+  }
+  const auto deepest = [&] { return deepest_vc(engine, 0, 1); };
+  while (deepest() <= 4 && engine.now() < 2000) ASSERT_TRUE(engine.step());
+  ASSERT_GT(deepest(), 4);
+  std::stringstream saved;
+  engine.save_checkpoint(saved);
+
+  Engine shallow(topo, small_vct(), *routing, never, {});
+  try {
+    shallow.restore(saved);
+    FAIL() << "restore() loaded a VC deeper than its buffer";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("buffer capacity"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

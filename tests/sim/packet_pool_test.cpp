@@ -153,9 +153,9 @@ TEST(PacketPool, FootprintCountsChunksTableAndFreeLists) {
 
 // --- engine memory audit -------------------------------------------------
 
-/// Measured 3461 bytes/terminal (5184 with 12-byte flits, 72-byte
-/// packets and doubling slabs), plus 10%.
-constexpr double kH4BytesPerTerminalCeiling = 3800.0;
+/// Measured 2814 bytes/terminal (3461 with the static flit arena, 5184
+/// with 12-byte flits, 72-byte packets and doubling slabs), plus 10%.
+constexpr double kH4BytesPerTerminalCeiling = 3100.0;
 
 struct ShardedNet {
   explicit ShardedNet(int h, int jobs, double load)
@@ -208,6 +208,44 @@ TEST(EngineFootprint, CountsPerShardSlabsAndFreeLists) {
             pool.footprint_bytes() - pool_before);
   EXPECT_GE(net.engine.footprint_bytes(),
             Engine::compiled_size() + pool.footprint_bytes());
+}
+
+TEST(EngineFootprint, CountsEveryFlitSlab) {
+  // The input-VC flits live in one slab per shard (one in exact mode);
+  // the engine total must grow by at least what the slabs and the pool
+  // took on.
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "exact");
+    DragonflyTopology topo(2);
+    const auto routing = make_routing("minimal", topo, {});
+    UniformPattern pattern(topo);
+    EngineConfig ec;
+    ec.sharded = sharded;
+    ec.shard_jobs = 2;
+    Engine engine(topo, ec, *routing, pattern, ShardedNet::injection(0.8));
+    ASSERT_EQ(engine.num_flit_slabs(),
+              sharded ? static_cast<std::size_t>(topo.num_groups()) : 1u);
+    const std::size_t before = engine.footprint_bytes();
+    const std::size_t pool_before = engine.packet_pool().footprint_bytes();
+    std::size_t slabs_before = 0;
+    for (std::size_t s = 0; s < engine.num_flit_slabs(); ++s) {
+      slabs_before += engine.flit_slab(s).footprint_bytes();
+    }
+    engine.run_until(600);
+    ASSERT_FALSE(engine.deadlock_detected());
+
+    std::size_t slabs = 0;
+    for (std::size_t s = 0; s < engine.num_flit_slabs(); ++s) {
+      const FlitSlab& slab = engine.flit_slab(s);
+      EXPECT_GT(slab.num_chunks(), 0u) << "slab " << s << " saw no flits";
+      EXPECT_GE(slab.footprint_bytes(),
+                slab.num_chunks() * sizeof(FlitSlab::Chunk));
+      slabs += slab.footprint_bytes();
+    }
+    EXPECT_GE(engine.footprint_bytes() - before,
+              (slabs - slabs_before) +
+                  (engine.packet_pool().footprint_bytes() - pool_before));
+  }
 }
 
 TEST(EngineFootprint, ShardedH4BytesPerTerminalUnderCeiling) {

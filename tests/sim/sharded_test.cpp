@@ -7,6 +7,7 @@
 // RNG-stream assignment differs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -276,6 +277,46 @@ TEST(ShardedCheckpoint, ParallelPacketCreationMatchesSerial) {
     return snap.str();
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+TEST(ShardedCheckpoint, SaturatedFlitSlabsMatchSerial) {
+  // Arrivals (phase 1) and sends (phase 3) push and pop flits through
+  // each shard's own flit slab on 4 workers at once. At load 1.0 the
+  // global VCs fill to several chunks and the slabs grow and recycle
+  // chunks every cycle; buffer contents, slab growth and the checkpoint
+  // must match a single worker exactly (the tsan job runs this case).
+  DragonflyTopology topo(3);
+  UniformPattern pattern(topo);
+  InjectionProcess inj;
+  inj.load = 1.0;
+  const auto run = [&](int jobs, std::vector<std::size_t>* chunks) {
+    EngineConfig ec;
+    ec.sharded = true;
+    ec.shard_jobs = jobs;
+    const auto routing = make_routing("minimal", topo, {});
+    Engine engine(topo, ec, *routing, pattern, inj);
+    engine.run_until(800);
+    EXPECT_FALSE(engine.deadlock_detected());
+    EXPECT_EQ(engine.num_flit_slabs(),
+              static_cast<std::size_t>(topo.num_groups()));
+    std::size_t held = 0;
+    for (std::size_t s = 0; s < engine.num_flit_slabs(); ++s) {
+      chunks->push_back(engine.flit_slab(s).num_chunks());
+      held += engine.flit_slab(s).chunks_in_use();
+    }
+    EXPECT_GT(held, 0u) << "saturated buffers must hold flits";
+    std::stringstream snap;
+    engine.save_checkpoint(snap);
+    return snap.str();
+  };
+  std::vector<std::size_t> serial_chunks;
+  std::vector<std::size_t> parallel_chunks;
+  const std::string serial = run(1, &serial_chunks);
+  EXPECT_EQ(serial, run(4, &parallel_chunks));
+  EXPECT_EQ(serial_chunks, parallel_chunks);
+  EXPECT_GT(*std::max_element(serial_chunks.begin(), serial_chunks.end()),
+            16u)
+      << "some slab must grow past its first block";
 }
 
 TEST(ShardedCheckpoint, EngineModeMismatchIsRejected) {
