@@ -47,19 +47,14 @@ int main(int argc, char** argv) {
 
   std::cout << "\n## panel 9b_burst_consumption\n";
   {
-    // Reuse the sweep's derived per-point seeds so both panels run the
-    // same grid point with the same stream.
-    const auto bursts = runtime::parallel_map<BurstResult>(
-        grid.size(), 0, [&](std::size_t i) {
-          SimConfig pc = grid[i].cfg;
-          pc.seed = points[i].seed;
-          return run_burst(pc);
-        });
+    // The same grid as burst runs: run_experiments derives the same
+    // per-point seeds, so both panels run each point with the same stream.
+    for (ExperimentPoint& pt : grid) pt.burst = true;
     CsvWriter csv(std::cout,
                   {"series", "global_traffic_pct", "consumption_kcycles"});
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      csv.point(grid[i].series, grid[i].x,
-                static_cast<double>(bursts[i].consumption_cycles) / 1000.0);
+    for (const ExperimentResult& p : run_experiments(grid)) {
+      csv.point(p.series, p.x,
+                static_cast<double>(p.burst.consumption_cycles) / 1000.0);
     }
   }
   return 0;

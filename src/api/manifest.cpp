@@ -483,15 +483,11 @@ ManifestRunSummary run_manifest(const Manifest& m,
       }
     };
 
+    // One claimer per worker; parallel_for hands each its share of the
+    // jobs budget.
     const int workers = runtime::resolve_jobs(opts.jobs);
-    if (workers <= 1) {
-      guarded_worker();
-    } else {
-      std::vector<std::thread> team;
-      team.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) team.emplace_back(guarded_worker);
-      for (std::thread& t : team) t.join();
-    }
+    runtime::parallel_for(static_cast<std::size_t>(workers), workers,
+                          [&](std::size_t) { guarded_worker(); });
     if (first_error) std::rethrow_exception(first_error);
     summary.ran_points = ran.load();
     summary.stolen_leases = stolen.load();

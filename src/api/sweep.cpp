@@ -13,14 +13,29 @@
 
 namespace dfsim {
 
+namespace {
+
+/// The run shape a point asks for: burst, steady (no phases) or phased.
+SimulationRun make_run(const ExperimentPoint& pt, const SimConfig& cfg) {
+  if (pt.burst) {
+    if (!pt.phases.empty()) {
+      throw std::invalid_argument("experiment point \"" + pt.series +
+                                  "\": a burst run takes no phase schedule");
+    }
+    return SimulationRun::burst(cfg);
+  }
+  if (pt.phases.empty()) return SimulationRun::steady(cfg);
+  return SimulationRun::phased(cfg, pt.phases);
+}
+
+}  // namespace
+
 ExperimentResult run_experiment_point(const ExperimentPoint& pt,
                                       std::uint64_t seed, std::size_t index,
                                       const SweepOptions& opts) {
   SimConfig cfg = pt.cfg;
   cfg.seed = seed;
-  SimulationRun run = pt.phases.empty()
-                          ? SimulationRun::steady(cfg)
-                          : SimulationRun::phased(cfg, pt.phases);
+  SimulationRun run = make_run(pt, cfg);
   const std::string ckpt =
       (opts.checkpoint_every > 0 && opts.checkpoint_path)
           ? opts.checkpoint_path(index)
@@ -60,7 +75,10 @@ ExperimentResult run_experiment_point(const ExperimentPoint& pt,
   r.x = pt.x;
   r.seed = seed;
   r.is_phased = !pt.phases.empty();
-  if (r.is_phased) {
+  r.is_burst = pt.burst;
+  if (r.is_burst) {
+    r.burst = run.burst_result();
+  } else if (r.is_phased) {
     r.phased = run.phased_result();
     r.steady = r.phased.total;
   } else {

@@ -26,26 +26,31 @@ namespace dfsim {
 // --- the unified experiment surface --------------------------------------
 
 /// One grid point: the fully-configured run plus the CSV series/x it
-/// reports under. An empty phase schedule means a steady-state run
-/// (run_steady semantics); a non-empty one a phased run (run_phased).
+/// reports under. `burst` selects a burst-consumption run (run_burst
+/// semantics); otherwise an empty phase schedule means a steady-state run
+/// (run_steady) and a non-empty one a phased run (run_phased).
 struct ExperimentPoint {
   std::string series;
   double x = 0.0;
   SimConfig cfg;
   std::vector<Phase> phases;  ///< empty = steady-state experiment
+  bool burst = false;         ///< burst consumption; phases must be empty
 };
 
-/// What one point produced. `steady` is always filled: for steady points
-/// it is the run's SteadyResult, for phased points it aliases
-/// `phased.total` (the whole-run aggregate) so series-level summaries
-/// never need to branch on the shape.
+/// What one point produced. For steady and phased points `steady` is
+/// always filled: the run's SteadyResult, or for phased points an alias
+/// of `phased.total` (the whole-run aggregate), so series-level summaries
+/// never need to branch on those two shapes. Burst points fill only
+/// `burst`.
 struct ExperimentResult {
   std::string series;
   double x = 0.0;
   std::uint64_t seed = 0;  ///< derived per-point seed the run used
   bool is_phased = false;
+  bool is_burst = false;
   SteadyResult steady;
   PhasedResult phased;  ///< windows/drain populated only when is_phased
+  BurstResult burst;    ///< populated only when is_burst
 };
 
 struct SweepOptions {

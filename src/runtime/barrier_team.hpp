@@ -1,60 +1,21 @@
-// Minimal fixed-size thread pool used by the parallel sweep runtime, and
-// the BarrierTeam phase-barrier worker team used by the sharded cycle
-// engine. Pool tasks are plain closures; `wait_idle` blocks until every
-// submitted task has finished, so one pool can serve several sweep phases
-// in sequence.
+// BarrierTeam: the phase-barrier worker team the sharded cycle engine
+// steps its shards with.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace dfsim::runtime {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (minimum 1).
-  explicit ThreadPool(int threads);
-
-  /// Drains outstanding work, then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues one task. Tasks must not throw past their own frame; wrap
-  /// and stash exceptions if the caller needs them (parallel_for does).
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and every worker is idle.
-  void wait_idle();
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void worker_loop();
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   ///< signals workers: task or stop
-  std::condition_variable idle_cv_;   ///< signals wait_idle: all done
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
-
 /// Persistent worker team parked on a sense-reversing phase barrier, for
 /// callers that run the SAME parallel region thousands of times (the
-/// sharded engine runs two per simulated cycle). Unlike ThreadPool there
-/// is no queue and no mutex on the hot path: run() bumps an epoch counter
-/// (the "go" edge), every worker executes the fixed callback once with
-/// its worker index, and the last arrival releases the caller. Workers
+/// sharded engine runs two per simulated cycle). There is no queue and
+/// no mutex on the hot path: run() bumps an epoch counter (the "go"
+/// edge), every worker executes the fixed callback once with its worker
+/// index, and the last arrival releases the caller. Workers
 /// spin on the epoch for `spin_budget` iterations before parking on a
 /// futex (C++20 std::atomic::wait), so an oversubscribed machine — more
 /// workers than cores — degrades to condvar-like latency instead of

@@ -5,14 +5,33 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/env.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace dfsim::runtime {
 
 namespace {
 std::atomic<int> g_default_jobs{0};  // 0 = auto
+
+/// This thread's share of the jobs budget while it runs parallel_for
+/// bodies; 0 outside any parallel_for.
+thread_local int t_worker_budget = 0;
+
+/// Sets this thread's budget for its lifetime, restoring the previous
+/// value on exit (parallel_for calls may nest).
+class BudgetScope {
+ public:
+  explicit BudgetScope(int budget) : saved_(t_worker_budget) {
+    t_worker_budget = budget;
+  }
+  ~BudgetScope() { t_worker_budget = saved_; }
+  BudgetScope(const BudgetScope&) = delete;
+  BudgetScope& operator=(const BudgetScope&) = delete;
+
+ private:
+  int saved_;
+};
 
 int hardware_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -33,16 +52,20 @@ int default_jobs() {
 }
 
 int resolve_jobs(int requested) {
-  return requested > 0 ? requested : default_jobs();
+  if (requested > 0) return requested;
+  if (t_worker_budget > 0) return t_worker_budget;
+  return default_jobs();
 }
 
 void parallel_for(std::size_t n, int jobs,
                   const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  const int workers = std::min<int>(resolve_jobs(jobs),
-                                    static_cast<int>(std::min<std::size_t>(
-                                        n, 1u << 16)));
-  if (workers <= 1 || n == 1) {
+  const int budget = resolve_jobs(jobs);
+  const int workers = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(budget), n));
+  const int share = std::max(1, budget / workers);
+  if (workers <= 1) {
+    BudgetScope scope(share);
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -55,22 +78,24 @@ void parallel_for(std::size_t n, int jobs,
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mu;
-
-  ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.submit([&] {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
+  {
+    std::vector<std::jthread> team;
+    team.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      team.emplace_back([&] {
+        BudgetScope scope(share);
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+          try {
+            body(i);
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (!first_error) first_error = std::current_exception();
+          }
         }
-      }
-    });
-  }
-  pool.wait_idle();
+      });
+    }
+  }  // jthreads join here
 
   if (first_error) std::rethrow_exception(first_error);
 }

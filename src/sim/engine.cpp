@@ -8,7 +8,7 @@
 
 // Complete BarrierTeam type: the constructor's exception cleanup destroys
 // the shard_team_ member.
-#include "runtime/thread_pool.hpp"
+#include "runtime/barrier_team.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/workload.hpp"
 
@@ -159,7 +159,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   occupied_ports_.assign(num_routers * static_cast<std::size_t>(occ_words_),
                          0);
   nonempty_vcs_.assign(num_routers, 0);
-  active_routers_.assign((num_routers + 63) / 64, 0);
 
   // Initialize credits to the downstream buffer capacity. Port classes
   // match across a link (local<->local, global<->global). Cache the far
@@ -217,75 +216,16 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
 
   ring_size_ = next_pow2(static_cast<size_t>(
       cfg_.global_latency + std::max(cfg_.packet_phits, flit_phits_) + 4));
-  flit_ring_.reset(ring_size_);
-  credit_ring_.reset(ring_size_);
-  delivery_ring_.reset(ring_size_);
-
-  scratch_.out_first_nom.assign(static_cast<size_t>(ports_), -1);
-
-  if (cfg_.sharded) init_shards();
-}
-
-void Engine::schedule_flit(Cycle at, FlitEvent ev) {
-  assert(at > now_ && at - now_ < ring_size_);
-  flit_ring_.push(ring_slot(at), ev);
-}
-
-void Engine::schedule_credit(Cycle at, CreditEvent ev) {
-  assert(at > now_ && at - now_ < ring_size_);
-  credit_ring_.push(ring_slot(at), ev);
-}
-
-void Engine::schedule_delivery(Cycle at, PacketId id) {
-  assert(at > now_ && at - now_ < ring_size_);
-  delivery_ring_.push(ring_slot(at), id);
-}
-
-void Engine::process_arrivals() {
-  const std::size_t slot = ring_slot(now_);
-
-  credit_ring_.drain(slot, [&](const CreditEvent& ev) {
-    const std::size_t ovidx = vc_index(ev.router, ev.port, ev.vc);
-    OutputVc& ovc = out_vcs_[ovidx];
-    ovc.credits_phits += flit_phits_;
-    assert(ovc.credits_phits <= port_capacity(ev.port));
-    wake_waiters(ovidx);
-  });
-
-  flit_ring_.drain(slot, [&](const FlitEvent& ev) {
-    const std::size_t vidx = vc_index(ev.router, ev.port, ev.vc);
-    InputVc& ivc = in_vcs_[vidx];
-    if (ivc.fifo.empty()) {
-      ++nonempty_vcs_[static_cast<size_t>(ev.router)];
-      ivc.head_since = now_;
-      head_hop_[vidx] = kHeadUnknown;  // this flit becomes the head
-      const std::size_t pidx = port_index(ev.router, ev.port);
-      std::uint32_t& scan = in_scan_[pidx];
-      if ((scan >> 16) == 0) set_occupied(ev.router, ev.port);
-      scan |= 1u << (16 + ev.vc);
-      port_wake_[pidx] = 0;  // a fresh head makes the port actionable
-      mark_router_active(ev.router);
-    }
-    ivc.fifo.push_back(flit_slab_, ev.flit);
-    ivc.occupancy_phits += flit_phits_;
-    if (pclass(ev.port) == PortClass::kTerminal) {
-      const NodeId t = ev.router * terminals_per_router_ +
-                       (ev.port - first_terminal_port_);
-      terminals_[static_cast<size_t>(t)].inflight_phits -= flit_phits_;
-    }
-    assert(ivc.occupancy_phits <= port_capacity(ev.port));
-  });
-
-  delivery_ring_.drain(slot, [&](PacketId id) { deliver(id); });
+  init_shards();
 }
 
 void Engine::deliver(PacketId id) {
   const Packet& pkt = pool_[id];
   ++delivered_packets_;
   delivered_phits_ += static_cast<std::uint64_t>(pkt.size_phits);
-  // Request-reply causality: deliveries run serially in BOTH steppers
-  // (the sharded deliver phase drains per-shard rings in ascending
-  // order), so queueing the reply here is deterministic.
+  // Request-reply causality: deliveries run serially (the deliver phase
+  // drains the per-shard rings in ascending order), so queueing the reply
+  // here is deterministic.
   if (workload_ != nullptr) maybe_reply(pkt);
   if (on_delivered_) on_delivered_(pkt, now_);
   pool_.release(id);
@@ -318,9 +258,9 @@ bool Engine::push_forced(NodeId t, NodeId dst, Cycle created,
   forced_created_[ti].push_back(created);
   forced_dst_[ti].push_back(dst);
   forced_flags_[ti].push_back(flags);
-  // The sharded stepper iterates its shard's terminal range directly and
-  // never reads the pending bitmap; skipping the mark there also keeps
-  // parallel-phase pushes (message bodies) off the shared bitmap words.
+  // Only exact mode's injection loop reads the pending bitmap; skipping
+  // the mark in sharded mode also keeps parallel-phase pushes (message
+  // bodies) off the shared bitmap words.
   if (!sharded_) mark_terminal_pending(t);
   return true;
 }
@@ -384,36 +324,12 @@ void Engine::set_terminal_loads(const std::vector<double>& loads) {
   has_terminal_loads_ = true;
 }
 
-// Walk only routers with buffered flits, in ascending id order (the same
-// order as the exhaustive scan this replaces — routing mechanisms may draw
-// from the shared RNG inside decide(), so order is part of the contract).
-void Engine::allocate_active_routers() {
-  const std::size_t words = active_routers_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = active_routers_[w];
-    if (bits == 0) continue;
-    std::uint64_t keep = bits;
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto r = static_cast<RouterId>(w * 64 + static_cast<size_t>(b));
-      if (nonempty_vcs_[static_cast<size_t>(r)] > 0) {
-        allocate_router(r, scratch_, nullptr);
-      }
-      if (nonempty_vcs_[static_cast<size_t>(r)] == 0) {
-        keep &= ~(1ULL << b);  // drained: drop from the worklist
-      }
-    }
-    active_routers_[w] = keep;
-  }
-}
-
-void Engine::allocate_router(RouterId r, AllocScratch& scratch,
-                             Shard* shard) {
+void Engine::allocate_router(RouterId r, Shard& s) {
   const std::size_t rbase = port_index(r, 0);
+  AllocScratch& scratch = s.scratch;
   // Nothing below pushes or pops a flit until the sends after the
   // nomination scan, so a Flit& read from the slab stays valid throughout.
-  const FlitSlab& slab = shard != nullptr ? shard->flit_slab : flit_slab_;
+  const FlitSlab& slab = s.flit_slab;
 
   scratch.noms.clear();
   scratch.touched_outs.clear();
@@ -457,13 +373,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
           continue;
         }
         InputVc& ivc = in_vcs_[vidx];
-        if (now_ - ivc.head_since > cfg_.watchdog_cycles) {
-          if (shard != nullptr) {
-            shard->deadlock = true;
-          } else {
-            deadlock_ = true;
-          }
-        }
+        if (now_ - ivc.head_since > cfg_.watchdog_cycles) s.deadlock = true;
 
         Nomination nom{p, v, kInvalid, 0, false, {}};
         std::int16_t hh = head_hop_[vidx];
@@ -506,12 +416,13 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
           // (seed, cycle, VC index): any worker evaluating this decision
           // constructs the identical stream. Exact mode keeps the single
           // shared cursor, whose ascending draw order is the contract.
-          if (shard != nullptr) {
+          Rng* rng = &rng_;
+          if (sharded_) {
             scratch.rng = keyed_stream(cfg_.seed, now_, kStreamRoute,
                                        static_cast<std::uint64_t>(vidx));
+            rng = &scratch.rng;
           }
-          RoutingContext ctx{*this,      r,    p, v, pkt, flit,
-                             shard != nullptr ? scratch.rng : rng_};
+          RoutingContext ctx{*this, r, p, v, pkt, flit, *rng};
           std::optional<RouteChoice> choice;
           if (hh == kHeadUnknown) {
             // First decision for this (head, router): the fused entry
@@ -586,7 +497,7 @@ void Engine::allocate_router(RouterId r, AllocScratch& scratch,
     scratch.out_first_nom[static_cast<size_t>(op)] = -1;
     const Nomination& nom = scratch.noms[static_cast<size_t>(idx)];
     send_flit(r, nom.in_port, nom.in_vc, nom.out_port, nom.out_vc,
-              nom.fresh ? &nom.choice : nullptr, shard);
+              nom.fresh ? &nom.choice : nullptr, s);
     const int next_in = nom.in_port + 1;
     out_rr_[rbase + static_cast<size_t>(op)] =
         static_cast<std::uint16_t>(next_in == ports_ ? 0 : next_in);
@@ -634,12 +545,11 @@ void Engine::apply_route_state(Packet& pkt, RouterId r,
 
 void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
                        PortId out_port, VcId out_vc_id,
-                       const RouteChoice* fresh_choice, Shard* shard) {
+                       const RouteChoice* fresh_choice, Shard& s) {
   const std::size_t in_vidx = vc_index(r, in_port, in_vc_id);
   InputVc& ivc = in_vcs_[in_vidx];
-  FlitSlab& slab = shard != nullptr ? shard->flit_slab : flit_slab_;
-  const Flit flit = ivc.fifo.front(slab);
-  ivc.fifo.pop_front(slab);
+  const Flit flit = ivc.fifo.front(s.flit_slab);
+  ivc.fifo.pop_front(s.flit_slab);
   ivc.occupancy_phits -= flit_phits_;
   head_hop_[in_vidx] = kHeadUnknown;  // whatever follows is a new head
   if (ivc.fifo.empty()) {
@@ -652,24 +562,20 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   }
 
   // Return the freed space upstream. Injection-buffer space is visible to
-  // the co-located source immediately (no wire to cross). In sharded mode
-  // a credit whose upstream router lives in this very shard goes straight
-  // into the shard's own wheel; only cross-shard credits (global links)
-  // ride the outbox to the serial flush.
+  // the co-located source immediately (no wire to cross). A credit whose
+  // upstream router lives in this very shard goes straight into the
+  // shard's own wheel; only cross-shard credits (global links, sharded
+  // mode) ride the outbox to the serial flush.
   const PortClass in_cls = pclass(in_port);
   if (in_cls != PortClass::kTerminal) {
     const auto up = endpoints_[port_index(r, in_port)];
     const CreditEvent cev{up.router, static_cast<std::int16_t>(up.port),
                           static_cast<std::int16_t>(in_vc_id)};
     const Cycle at = now_ + link_latency(in_cls);
-    if (shard != nullptr) {
-      if (up.router >= shard->first_router && up.router < shard->end_router) {
-        shard->credit_ring.push(ring_slot(at), cev);
-      } else {
-        shard->outbox_credits.push_back({at, cev});
-      }
+    if (up.router >= s.first_router && up.router < s.end_router) {
+      s.credit_ring.push(ring_slot(at), cev);
     } else {
-      schedule_credit(at, cev);
+      s.outbox_credits.push_back({at, cev});
     }
   }
 
@@ -677,15 +583,9 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
     Packet& pkt = pool_[flit.packet];
     apply_route_state(pkt, r, *fresh_choice);
     routing_.on_hop(*this, pkt, *fresh_choice, r);
-    if (on_hop_) {
-      // External hop hooks may touch arbitrary user state; replay them in
-      // deterministic ascending-shard order at the flush.
-      if (shard != nullptr) {
-        shard->hops.push_back({flit.packet, *fresh_choice, r});
-      } else {
-        on_hop_(pkt, *fresh_choice, r);
-      }
-    }
+    // External hop hooks may touch arbitrary user state; replay them in
+    // deterministic ascending-shard order at the flush.
+    if (on_hop_) s.hops.push_back({flit.packet, *fresh_choice, r});
   }
 
   // No flit may ever depart on a dead (or unwired) port: the routing
@@ -696,8 +596,7 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   const PortClass out_cls = pclass(out_port);
   out_busy_until_[port_index(r, out_port)] =
       now_ + static_cast<Cycle>(flit_phits_);
-  (shard != nullptr ? shard->phits_sent
-                    : phits_sent_)[static_cast<int>(out_cls)] +=
+  s.phits_sent[static_cast<int>(out_cls)] +=
       static_cast<std::uint64_t>(flit_phits_);
 
   // Input-VC binding for multi-flit packets (wormhole).
@@ -710,21 +609,13 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
     ivc.bound_out_vc = InputVc::kInvalid16;
   }
 
+  s.progressed = true;
   if (out_cls == PortClass::kTerminal) {
     if (flit.tail) {
+      // Ejection happens at the owning router: deliveries are always
+      // same-shard, straight into the shard's own wheel.
       const Cycle at = now_ + static_cast<Cycle>(flit_phits_);
-      if (shard != nullptr) {
-        // Ejection happens at the owning router: deliveries are always
-        // same-shard, straight into the shard's own wheel.
-        shard->delivery_ring.push(ring_slot(at), flit.packet);
-      } else {
-        schedule_delivery(at, flit.packet);
-      }
-    }
-    if (shard != nullptr) {
-      shard->progressed = true;
-    } else {
-      last_progress_ = now_;
+      s.delivery_ring.push(ring_slot(at), flit.packet);
     }
     return;
   }
@@ -746,86 +637,72 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
       now_ + static_cast<Cycle>(flit_phits_ + link_latency(out_cls));
   const FlitEvent fev{down.router, static_cast<std::int16_t>(down.port),
                       static_cast<std::int16_t>(out_vc_id), flit};
-  if (shard != nullptr) {
-    // Local-link flits stay inside the group (= the shard) and go into
-    // the shard's own wheel; only global-link flits cross the outbox.
-    if (down.router >= shard->first_router &&
-        down.router < shard->end_router) {
-      shard->flit_ring.push(ring_slot(at), fev);
-    } else {
-      shard->outbox_flits.push_back({at, fev});
-    }
-    shard->progressed = true;
+  // Local-link flits stay inside the group (hence the shard) and go into
+  // the shard's own wheel; only global-link flits cross the outbox.
+  if (down.router >= s.first_router && down.router < s.end_router) {
+    s.flit_ring.push(ring_slot(at), fev);
   } else {
-    schedule_flit(at, fev);
-    last_progress_ = now_;
+    s.outbox_flits.push_back({at, fev});
   }
 }
 
-// Terminals draw generation randomness in strict ascending order — that
-// per-terminal draw order is part of the seed contract, so the Bernoulli
-// loop still visits every terminal. The pending bitmap only gates the
-// injection attempt (source-queue, link and buffer checks), which is the
-// expensive part at low load.
-void Engine::inject_terminals() {
+// Exact mode: terminals draw generation randomness in strict ascending
+// order — that per-terminal draw order is part of the seed contract, so
+// the Bernoulli loop still visits every terminal. The pending bitmap only
+// gates the injection attempt (source-queue, link and buffer checks),
+// which is the expensive part at low load.
+void Engine::inject_terminals_exact(Shard& s) {
+  const auto attempt = [&](NodeId t) {
+    TerminalState& ts = terminals_[static_cast<size_t>(t)];
+    try_inject_shard(t, ts, &rng_, s);
+    if (!terminal_has_work(t, ts)) clear_terminal_pending(t);
+  };
   const bool draws = injection_.mode == InjectionProcess::Mode::kBernoulli &&
                      (gen_probability_ > 0.0 || has_terminal_loads_);
-  if (draws && onoff_) {
-    // Markov ON/OFF sources: step each terminal's chain (one draw), then
-    // let ON terminals generate at the duty-compensated rate (a second
-    // draw). Same ascending-terminal order as the plain Bernoulli loop.
-    const int num_terms = topo_.num_terminals();
-    for (NodeId t = 0; t < num_terms; ++t) {
-      if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
-        continue;
-      }
-      std::uint8_t& on = onoff_state_[static_cast<size_t>(t)];
-      if (on != 0) {
-        if (rng_.bernoulli(injection_.onoff_off)) on = 0;
-      } else if (rng_.bernoulli(injection_.onoff_on)) {
-        on = 1;  // transitions apply immediately: an ON entry can generate
-      }
-      if (on != 0 && rng_.bernoulli(gen_probability_on_)) {
-        TerminalState& ts = terminals_[static_cast<size_t>(t)];
-        const bool accepted =
-            ts.pending_created.size() <
-            static_cast<std::size_t>(cfg_.source_queue_cap);
-        if (accepted) {
-          ts.pending_created.push_back(now_);
-          mark_terminal_pending(t);
-        }
-        if (on_generated_) on_generated_(now_, accepted);
-      }
-      if (terminal_pending(t)) try_inject(t);
-    }
-    return;
-  }
   if (draws) {
-    const int num_terms = topo_.num_terminals();
-    for (NodeId t = 0; t < num_terms; ++t) {
+    // The coins draw from a register-resident copy of the stream, handed
+    // back to rng_ around each attempt (whose destination draw continues
+    // the same stream). Drawing on the member itself reloads its state on
+    // every terminal, and the compiler's vectorized reload stalls on the
+    // previous draw's stores.
+    Rng rng = rng_;
+    for (NodeId t = s.first_terminal; t < s.end_terminal; ++t) {
       // Terminals on dead routers generate nothing (and draw nothing, so
       // the fault set fully determines the degraded-network RNG stream);
       // the flag is never set on healthy topologies.
       if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(t)]) {
         continue;
       }
-      // Per-terminal loads (multi-job workloads) swap the probability but
-      // keep one draw per live terminal, so the stream stays ascending.
-      if (rng_.bernoulli(has_terminal_loads_
-                             ? terminal_gen_prob_[static_cast<size_t>(t)]
-                             : gen_probability_)) {
-        TerminalState& ts = terminals_[static_cast<size_t>(t)];
-        const bool accepted =
-            ts.pending_created.size() <
-            static_cast<std::size_t>(cfg_.source_queue_cap);
-        if (accepted) {
-          ts.pending_created.push_back(now_);
-          mark_terminal_pending(t);
+      bool generated;
+      if (onoff_) {
+        // Markov ON/OFF sources: step the terminal's chain (one draw),
+        // then let an ON terminal generate at the duty-compensated rate
+        // (a second draw).
+        std::uint8_t& on = onoff_state_[static_cast<size_t>(t)];
+        if (on != 0) {
+          if (rng.bernoulli(injection_.onoff_off)) on = 0;
+        } else if (rng.bernoulli(injection_.onoff_on)) {
+          on = 1;  // transitions apply immediately: an ON entry generates
         }
-        if (on_generated_) on_generated_(now_, accepted);
+        generated = on != 0 && rng.bernoulli(gen_probability_on_);
+      } else {
+        // Per-terminal loads (multi-job workloads) swap the probability
+        // but keep one draw per live terminal, so the stream stays
+        // ascending.
+        generated = rng.bernoulli(
+            has_terminal_loads_ ? terminal_gen_prob_[static_cast<size_t>(t)]
+                                : gen_probability_);
       }
-      if (terminal_pending(t)) try_inject(t);
+      if (generated && generate(terminals_[static_cast<size_t>(t)], s)) {
+        mark_terminal_pending(t);
+      }
+      if (terminal_pending(t)) {
+        rng_ = rng;
+        attempt(t);
+        rng = rng_;
+      }
     }
+    rng_ = rng;
     return;
   }
   // No generation randomness this cycle (burst mode, or zero load): only
@@ -836,88 +713,22 @@ void Engine::inject_terminals() {
     while (bits != 0) {
       const int b = std::countr_zero(bits);
       bits &= bits - 1;
-      try_inject(static_cast<NodeId>(w * 64 + static_cast<size_t>(b)));
+      attempt(static_cast<NodeId>(w * 64 + static_cast<size_t>(b)));
     }
   }
 }
 
-void Engine::try_inject(NodeId t) {
-  TerminalState& ts = terminals_[static_cast<size_t>(t)];
-  if (!terminal_has_work(t, ts)) {
-    clear_terminal_pending(t);
-    return;
-  }
-  if (ts.link_busy_until > now_) return;
-
-  // The source's router and port are pure arithmetic on the terminal id;
-  // recomputing them here beats an 8-byte-per-terminal cache at scale.
-  const RouterId r = topo_.router_of_terminal(t);
-  const PortId port = topo_.terminal_port(t);
-  const InputVc& ivc = in_vcs_[vc_index(r, port, 0)];
-  if (ivc.occupancy_phits + ts.inflight_phits + cfg_.packet_phits >
-      injection_buf_phits_) {
-    return;
-  }
-  materialize(t, ts);
-  if (!terminal_has_work(t, ts)) {
-    clear_terminal_pending(t);
-  }
+bool Engine::generate(TerminalState& ts, Shard& s) {
+  const bool accepted = ts.pending_created.size() <
+                        static_cast<std::size_t>(cfg_.source_queue_cap);
+  if (accepted) ts.pending_created.push_back(now_);
+  if (on_generated_) s.gen_accepted.push_back(accepted ? 1 : 0);
+  return accepted;
 }
 
-void Engine::materialize(NodeId t, TerminalState& ts) {
-  Cycle created = 0;
-  NodeId dst;
-  std::uint8_t flags = 0;
-  if (has_forced_dst_ && !forced_dst_[static_cast<size_t>(t)].empty()) {
-    // Forced packets (scripted injections, workload replies, message
-    // bodies, trace rows) carry their own creation time and flags and go
-    // ahead of the Bernoulli backlog.
-    const auto ti = static_cast<size_t>(t);
-    created = forced_created_[ti].front();
-    forced_created_[ti].pop_front();
-    dst = forced_dst_[ti].front();
-    forced_dst_[ti].pop_front();
-    flags = forced_flags_[ti].front();
-    forced_flags_[ti].pop_front();
-  } else {
-    if (!ts.pending_created.empty()) {
-      created = ts.pending_created.front();
-      ts.pending_created.pop_front();
-    } else {
-      assert(ts.burst_remaining > 0);
-      --ts.burst_remaining;
-    }
-    dst = pattern_->dest(t, rng_);
-    if (workload_ != nullptr) {
-      // Multi-packet messages: the body packets follow as forced entries
-      // behind this head (same destination and creation time; they never
-      // trigger replies of their own).
-      const int extra = workload_->message_packets(t, rng_) - 1;
-      for (int k = 0; k < extra; ++k) {
-        const bool accepted =
-            push_forced(t, dst, created, kPacketFlagNoReply);
-        if (on_generated_) on_generated_(now_, accepted);
-      }
-    }
-  }
-  assert(dst != t && dst >= 0 && dst < topo_.num_terminals());
-
-  // A packet addressed to a terminal on a dead router can never be
-  // delivered; it is dropped at the source (counted, so accepted-load
-  // analysis can separate fault losses from congestion).
-  if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(dst)]) {
-    ++dead_dst_drops_;
-    return;
-  }
-
-  inject_packet(0, t, ts, dst, created, flags, flit_ring_);
-  last_progress_ = now_;
-}
-
-void Engine::inject_packet(std::size_t slab, NodeId t, TerminalState& ts,
-                           NodeId dst, Cycle created, std::uint8_t flags,
-                           SlabEventRing<FlitEvent>& ring) {
-  const PacketId id = pool_.alloc(slab);
+void Engine::inject_packet(Shard& s, NodeId t, TerminalState& ts, NodeId dst,
+                           Cycle created, std::uint8_t flags) {
+  const PacketId id = pool_.alloc(s.index);
   Packet& pkt = pool_[id];
   pkt.src = t;
   pkt.dst = dst;
@@ -939,7 +750,7 @@ void Engine::inject_packet(std::size_t slab, NodeId t, TerminalState& ts,
     flit.tail = (k == flits_per_packet_ - 1);
     const Cycle at = now_ + static_cast<Cycle>((k + 1) * flit_phits_);
     assert(at - now_ < ring_size_);
-    ring.push(ring_slot(at), {r, port, 0, flit});
+    s.flit_ring.push(ring_slot(at), {r, port, 0, flit});
   }
   ts.inflight_phits += cfg_.packet_phits;
   ts.link_busy_until = now_ + static_cast<Cycle>(cfg_.packet_phits);
@@ -947,22 +758,6 @@ void Engine::inject_packet(std::size_t slab, NodeId t, TerminalState& ts,
 
 void Engine::inject_for_test(NodeId src, NodeId dst, Cycle created) {
   push_forced(src, dst, created, 0);
-  if (sharded_) mark_terminal_pending(src);  // serial caller: safe to mark
-}
-
-bool Engine::step() {
-  if (deadlock_) return false;
-  if (sharded_) return step_sharded();
-  process_arrivals();
-  routing_.per_cycle(*this);
-  if (workload_trace_) feed_trace();
-  allocate_active_routers();
-  inject_terminals();
-  if (pool_.in_use() > 0 && now_ - last_progress_ > cfg_.watchdog_cycles) {
-    deadlock_ = true;
-  }
-  ++now_;
-  return !deadlock_;
 }
 
 void Engine::run_until(Cycle end) {
@@ -979,13 +774,13 @@ std::size_t Engine::footprint_bytes() const {
   };
   std::size_t total = sizeof(Engine);
   total += vec(port_class_) + vec(vc_count_);
-  total += vec(in_vcs_) + vec(out_vcs_) + flit_slab_.footprint_bytes();
+  total += vec(in_vcs_) + vec(out_vcs_);
   total += vec(vc_sleep_until_) + vec(head_hop_) + vec(port_wake_);
   total += vec(ovc_waiter_head_) + vec(vc_waiter_next_);
   total += vec(endpoints_) + vec(out_busy_until_) + vec(in_scan_) +
            vec(out_rr_);
   total += vec(occupied_ports_) + vec(nonempty_vcs_);
-  total += vec(active_routers_) + vec(pending_terminals_);
+  total += vec(pending_terminals_);
   total += vec(terminals_) + vec(onoff_state_) + vec(terminal_dead_);
   for (const TerminalState& ts : terminals_) {
     total += ts.pending_created.footprint_bytes();
@@ -996,14 +791,9 @@ std::size_t Engine::footprint_bytes() const {
   for (const auto& q : forced_flags_) total += q.footprint_bytes();
   total += vec(terminal_gen_prob_) + vec(terminal_gen_threshold_);
   total += pool_.footprint_bytes();
-  total += vec(scratch_.noms) + vec(scratch_.out_first_nom) +
-           vec(scratch_.touched_outs);
-  total += flit_ring_.footprint_bytes() + credit_ring_.footprint_bytes() +
-           delivery_ring_.footprint_bytes();
   // Shard-owned allocations: the per-shard timing wheels, flit slabs,
-  // outboxes and staging vectors are where the sharded engine's event and
-  // buffer memory actually lives (the global wheels and flit slab above
-  // stay empty in sharded mode).
+  // outboxes and staging vectors are where the engine's event and buffer
+  // memory actually lives.
   total += vec(shards_);
   for (const Shard& s : shards_) {
     total += s.flit_ring.footprint_bytes() + s.credit_ring.footprint_bytes() +

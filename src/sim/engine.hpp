@@ -5,24 +5,31 @@
 // link-level backpressure, phit-granular serialization and configurable
 // link latencies (Section IV).
 //
-// Per cycle:
-//   1. credit arrivals   (returned one link latency after downstream drain)
-//   2. flit arrivals     (full flit lands in the downstream input VC)
-//   3. switch allocation (input nomination + output round-robin grant)
-//   4. injection         (terminals materialize pending packets)
+// One state layout and one step for both engine modes. Routers are
+// partitioned into shards, each owning its routers' flit slab and its own
+// flit/credit/delivery timing wheels: one shard per group in sharded mode,
+// a single shard covering the whole network in exact mode. Every cycle
+// runs the same four phases (engine_sharded.cpp):
+//   1. arrive  — each shard drains this cycle's credits and flits
+//   2. deliver — packet deliveries, RoutingAlgorithm::per_cycle, trace rows
+//   3. alloc   — each shard's switch allocation, then injection
+//   4. flush   — hooks, cross-shard events and counters, ascending shard
+// Only two things depend on the mode: where a routing decision draws its
+// randomness (exact: the engine's single stream in ascending scan order;
+// sharded: a stream keyed by (seed, cycle, VC)), and which injection loop
+// runs (exact: ascending single-stream draws over every terminal, gated
+// by the pending-terminal bitmap; sharded: keyed per-terminal draws).
 //
 // Hot-path layout: all per-router and per-terminal state lives in flat
 // engine-level arrays (no per-router heap objects), every input VC's flit
 // FIFO is a chain of 64-byte chunks from its shard's flit slab (held only
 // while the VC holds flits), and the timing wheels recycle slab chunks
-// across wraps. Two bitmap worklists — active routers and terminals with
-// pending work — keep step() away from idle state entirely. All of it is
-// iterated in ascending id order, so results are bit-identical to the
-// exhaustive scans they replaced.
+// across wraps. Routers are visited in ascending id order when they hold
+// flits (nonempty_vcs_), terminals in ascending id order, so results are
+// bit-identical to the exhaustive scans these walks replaced.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -69,18 +76,20 @@ struct EngineConfig {
   /// source queue, is the bottleneck whenever the cap binds).
   int source_queue_cap = 256;
 
-  /// Opt-in group-sharded parallel stepper (DF_ENGINE=sharded): routers
-  /// are partitioned by group across a thread pool with per-cycle
-  /// barriers, and every RNG draw comes from a counter-based stream keyed
-  /// by (seed, cycle, entity) — results are bit-identical for ANY worker
-  /// count, but NOT bit-compatible with the default exact mode (whose
-  /// single-stream ascending draw order is its own contract). VCT only.
+  /// Opt-in group-sharded mode (DF_ENGINE=sharded): one shard per group
+  /// instead of exact mode's single shard, the shards stepped by a worker
+  /// team with per-phase barriers, and every RNG draw from a counter-based
+  /// stream keyed by (seed, cycle, entity) — results are bit-identical for
+  /// ANY worker count, but NOT bit-compatible with the default exact mode
+  /// (whose single-stream ascending draw order is its own contract). VCT
+  /// only.
   bool sharded = false;
-  /// Worker threads for the sharded stepper; 0 resolves via
-  /// runtime::resolve_jobs (--jobs / DF_JOBS / hardware concurrency).
+  /// Worker threads for sharded mode; 0 resolves via
+  /// runtime::resolve_jobs (--jobs / DF_JOBS / hardware concurrency, or
+  /// inside a parallel_for worker that worker's share of the budget).
   int shard_jobs = 0;
 
-  /// Per-phase cycle profiler for the sharded stepper (DF_PROFILE=1 is
+  /// Per-phase cycle profiler for sharded mode (DF_PROFILE=1 is
   /// the env equivalent). Off by default: the hot loop then contains no
   /// clock reads at all — the flag is checked once per step and the
   /// timed path is a separate template instantiation.
@@ -149,10 +158,10 @@ class Engine {
   std::uint64_t phits_sent(PortClass cls) const {
     return phits_sent_[static_cast<int>(cls)];
   }
-  /// True when the group-sharded parallel stepper is active.
+  /// True in sharded mode (one shard per group, keyed RNG).
   bool sharded() const { return sharded_; }
 
-  /// Per-phase wall-clock totals of the sharded stepper, accumulated only
+  /// Per-phase wall-clock totals of sharded mode, accumulated only
   /// while profiling (EngineConfig::profile / DF_PROFILE=1). The four
   /// phase counters tile each step exactly — timestamps are taken at the
   /// phase boundaries, so arrive + deliver + alloc + flush == total by
@@ -182,11 +191,11 @@ class Engine {
   std::size_t footprint_bytes() const;
   /// The packet pool (memory audits and tests).
   const PacketPool& packet_pool() const { return pool_; }
-  /// The slabs holding the input-VC flits: one per shard in sharded mode,
-  /// one in exact mode (memory audits and tests).
-  std::size_t num_flit_slabs() const { return sharded_ ? shards_.size() : 1; }
+  /// The slabs holding the input-VC flits, one per shard (memory audits
+  /// and tests).
+  std::size_t num_flit_slabs() const { return shards_.size(); }
   const FlitSlab& flit_slab(std::size_t i) const {
-    return sharded_ ? shards_[i].flit_slab : flit_slab_;
+    return shards_[i].flit_slab;
   }
 
   /// sizeof(Engine) as compiled into the library. A client translation
@@ -431,20 +440,16 @@ class Engine {
   /// r's shard may push or pop through it; in the parallel phases the
   /// callers already hold that shard and pass its slab directly.
   FlitSlab& router_flit_slab(RouterId r) {
-    return sharded_ ? shards_[shard_of(r)].flit_slab : flit_slab_;
+    return shards_[shard_of(r)].flit_slab;
   }
   const FlitSlab& router_flit_slab(RouterId r) const {
-    return sharded_ ? shards_[shard_of(r)].flit_slab : flit_slab_;
+    return shards_[shard_of(r)].flit_slab;
   }
   OutputVc& out_vc(RouterId r, PortId port, VcId vc) {
     return out_vcs_[vc_index(r, port, vc)];
   }
 
-  // --- worklists --------------------------------------------------------
-  void mark_router_active(RouterId r) {
-    active_routers_[static_cast<std::size_t>(r) >> 6] |=
-        1ULL << (static_cast<std::size_t>(r) & 63);
-  }
+  // --- exact-mode injection worklist --------------------------------------
   void mark_terminal_pending(NodeId t) {
     pending_terminals_[static_cast<std::size_t>(t) >> 6] |=
         1ULL << (static_cast<std::size_t>(t) & 63);
@@ -545,27 +550,27 @@ class Engine {
   };
   struct Shard;  // defined below
 
-  void process_arrivals();
-  void allocate_active_routers();
-  void allocate_router(RouterId r, AllocScratch& scratch, Shard* shard);
+  void allocate_router(RouterId r, Shard& s);
   void send_flit(RouterId r, PortId in_port, VcId in_vc_id, PortId out_port,
-                 VcId out_vc_id, const RouteChoice* fresh_choice,
-                 Shard* shard);
+                 VcId out_vc_id, const RouteChoice* fresh_choice, Shard& s);
   void apply_route_state(Packet& pkt, RouterId r, const RouteChoice& choice);
-  void inject_terminals();
-  void try_inject(NodeId terminal);
-  void materialize(NodeId terminal, TerminalState& ts);
-  /// Create terminal `t`'s packet to `dst` from pool slab `slab`, queue
-  /// its flits into `ring` (the wheel holding `t`'s router), and reserve
-  /// the injection buffer and link. Shared by both steppers.
-  void inject_packet(std::size_t slab, NodeId t, TerminalState& ts,
-                     NodeId dst, Cycle created, std::uint8_t flags,
-                     SlabEventRing<FlitEvent>& ring);
+  /// Exact mode's injection loop over shard `s` (which covers every
+  /// terminal): ascending single-stream generation draws, attempts gated
+  /// by the pending-terminal bitmap.
+  void inject_terminals_exact(Shard& s);
+  /// Queue a freshly generated packet at `ts`'s source queue unless the
+  /// backlog cap binds; stages the generation hook. Returns acceptance.
+  bool generate(TerminalState& ts, Shard& s);
+  /// Create terminal `t`'s packet to `dst` from shard `s`'s pool slab,
+  /// queue its flits into `s`'s wheel (which holds `t`'s router), and
+  /// reserve the injection buffer and link.
+  void inject_packet(Shard& s, NodeId t, TerminalState& ts, NodeId dst,
+                     Cycle created, std::uint8_t flags);
   void deliver(PacketId id);
 
   // --- workload support -------------------------------------------------
   /// Queue a fully-specified packet (destination, creation time, flags)
-  /// at terminal `t`'s forced queue; materialized before fresh pattern
+  /// at terminal `t`'s forced queue; injected before fresh pattern
   /// draws. Returns false (and queues nothing) when the source backlog
   /// cap binds. Caller must be a serial phase, or own `t`'s shard.
   bool push_forced(NodeId t, NodeId dst, Cycle created, std::uint8_t flags);
@@ -578,31 +583,30 @@ class Engine {
            forced_pending(t);
   }
   /// Replay trace rows with cycle <= now into the forced queues (serial
-  /// point of both steppers; no-op unless a trace workload is attached).
+  /// deliver phase; no-op unless a trace workload is attached).
   void feed_trace();
   /// Request-reply causality: called from deliver() (serial in both
   /// modes) to queue a reply at the destination terminal.
   void maybe_reply(const Packet& pkt);
 
-  // --- sharded stepper (engine_sharded.cpp) -----------------------------
+  // --- the stepper (engine_sharded.cpp) ---------------------------------
   void init_shards();
-  bool step_sharded();
   template <bool kProfile>
-  bool step_sharded_impl();
+  bool step_impl();
   void run_shards(void (Engine::*phase)(Shard&));
   void shard_worker(int worker);
   void arrive_shard(Shard& s);
   void allocate_and_inject_shard(Shard& s);
-  /// `rng` is null in the no-generation-draw path: the keyed injection
-  /// stream is then constructed lazily at the destination draw (the only
-  /// draw that path can make), so terminals that bail on the early checks
+  /// Try to inject terminal `t`'s next packet: forced entries first, else
+  /// the source backlog or burst budget with a destination draw from
+  /// `rng`. Exact mode passes the engine's stream. In sharded mode `rng`
+  /// is null in the no-generation-draw path: the keyed injection stream
+  /// is then constructed lazily at the destination draw (the only draw
+  /// that path can make), so terminals that bail on the early checks
   /// never pay the stream derivation.
   void try_inject_shard(NodeId t, TerminalState& ts, Rng* rng, Shard& s);
   void flush_shard(Shard& s);
 
-  void schedule_flit(Cycle at, FlitEvent ev);
-  void schedule_credit(Cycle at, CreditEvent ev);
-  void schedule_delivery(Cycle at, PacketId id);
   std::size_t ring_slot(Cycle at) const { return at & (ring_size_ - 1); }
 
   int link_latency(PortClass cls) const {
@@ -682,9 +686,13 @@ class Engine {
   int occ_words_ = 1;
   std::vector<std::int32_t> nonempty_vcs_;     // [router]
 
-  // Worklist bitmaps: a router is active while any input VC holds flits; a
-  // terminal is pending while its source queue or burst budget is nonzero.
-  std::vector<std::uint64_t> active_routers_;
+  /// Exact mode's injection worklist: a terminal is pending while its
+  /// source queue, burst budget or forced queue is nonempty. Exact mode
+  /// must visit every terminal for its generation draw anyway, but the
+  /// bit keeps the injection attempt (source-queue, link and buffer
+  /// checks) off idle terminals — a per-terminal terminal_has_work() scan
+  /// in its place measured 8% slower on the h=6 wormhole point. Sharded
+  /// mode never reads it (its words would straddle shards).
   std::vector<std::uint64_t> pending_terminals_;
 
   std::vector<TerminalState> terminals_;
@@ -703,7 +711,7 @@ class Engine {
   Workload* workload_ = nullptr;
   bool workload_trace_ = false;
   /// Per-terminal Bernoulli generation (multi-job workloads): absolute
-  /// probabilities for the exact stepper, 2^64-scaled thresholds for the
+  /// probabilities for exact mode, 2^64-scaled thresholds for the
   /// sharded counter-based coin. Empty (flag false) on the uniform path.
   std::vector<double> terminal_gen_prob_;
   std::vector<std::uint64_t> terminal_gen_threshold_;
@@ -721,21 +729,17 @@ class Engine {
   std::vector<std::uint8_t> terminal_dead_;
   bool has_dead_terminals_ = false;
   std::uint64_t dead_dst_drops_ = 0;
-  PacketPool pool_;
+  PacketPool pool_;  ///< one slab per shard
+  /// Exact mode's single stream: routing decisions and generation draws
+  /// in ascending scan order (sharded mode draws keyed streams instead;
+  /// only the ON/OFF chains' initial states come from here in both).
   Rng rng_;
 
   Cycle now_ = 0;
   Cycle last_progress_ = 0;
   bool deadlock_ = false;
 
-  /// Exact mode's flit slab, behind every input VC (the sharded stepper
-  /// uses one per shard instead).
-  FlitSlab flit_slab_;
-
   std::size_t ring_size_ = 0;
-  SlabEventRing<FlitEvent> flit_ring_;
-  SlabEventRing<CreditEvent> credit_ring_;
-  SlabEventRing<PacketId> delivery_ring_;
 
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t delivered_phits_ = 0;
@@ -745,19 +749,17 @@ class Engine {
   GenerationHook on_generated_;
   HopHook on_hop_;
 
-  // Exact-mode allocation scratch (avoids per-cycle allocations); the
-  // sharded stepper uses one AllocScratch per shard instead.
-  AllocScratch scratch_;
-
-  // --- group-sharded parallel stepper -----------------------------------
-  // One shard per group: shard s owns routers [s*a, (s+1)*a) and their
-  // terminals, so shard-ascending iteration IS router-ascending
-  // iteration. Each shard owns its OWN timing wheels: during the parallel
-  // phases a shard drains arrivals from / schedules same-shard futures
-  // into its own rings directly, and only cross-shard events (global-link
-  // flits and their credits) are staged in a per-source-shard outbox that
-  // the serial flush replays in ascending shard order. The serial work
-  // per cycle is therefore O(cross-shard events), not O(all events).
+  // --- shards -----------------------------------------------------------
+  // Shard s owns routers [s*n, (s+1)*n) and their terminals — n is a
+  // group's routers in sharded mode, every router in exact mode — so
+  // shard-ascending iteration IS router-ascending iteration. Each shard
+  // owns its OWN timing wheels: during the parallel phases a shard drains
+  // arrivals from / schedules same-shard futures into its own rings
+  // directly, and only cross-shard events (global-link flits and their
+  // credits) are staged in a per-source-shard outbox that the serial
+  // flush replays in ascending shard order. The serial work per cycle is
+  // therefore O(cross-shard events), not O(all events); with exact mode's
+  // single shard the outboxes stay empty.
   struct StagedFlit {
     Cycle at;
     FlitEvent ev;
@@ -810,20 +812,14 @@ class Engine {
   /// Phase dispatched to the persistent worker team; set by run_shards
   /// before releasing the barrier (the team's callback is fixed).
   void (Engine::*shard_phase_)(Shard&) = nullptr;
-  /// Dynamic-claim cursor (DF_SHARD_ASSIGN=dynamic fallback path).
-  std::atomic<std::size_t> shard_next_{0};
+  /// Worker w owns shards [w*n/W, (w+1)*n/W) every phase of every cycle,
+  /// so a shard's state stays in one worker's cache.
   int shard_workers_ = 1;
-  /// Static block assignment (the default): worker w owns shards
-  /// [w*n/W, (w+1)*n/W) every phase of every cycle, so a shard's state
-  /// stays in one worker's cache. DF_SHARD_ASSIGN=dynamic restores the
-  /// PR-7 atomic-claim behavior (useful when shard costs are skewed).
-  bool shard_assign_static_ = true;
-  /// shard_of(router): routers_per_group is fixed per topology.
   int routers_per_shard_ = 1;
   std::size_t shard_of(RouterId r) const {
     return static_cast<std::size_t>(r / routers_per_shard_);
   }
-  bool profile_ = false;
+  bool profile_ = false;  ///< sharded mode only
   PhaseProfile profile_data_;
   /// keyed_stream domains: routing decisions key on the input VC index,
   /// injection and message-size draws on the terminal id.

@@ -5,8 +5,9 @@
 // and wormhole bindings, switch round-robin pointers, the packet pool
 // slab by slab (slot contents and free-list order — future alloc() ids
 // must replay), per-terminal source queues / burst budgets / ON/OFF
-// chains, the timing wheels' in-flight events (one wheel triple per shard
-// in sharded mode, the global triple in exact mode), delivery counters,
+// chains, the timing wheels' in-flight events (one wheel triple per shard;
+// exact mode's single shard writes the pre-shard single-wheel layout),
+// delivery counters,
 // the routing mechanism's cross-cycle state, and (v4) the workload layer:
 // per-packet flag bytes, the forced-injection (created, dst, flags)
 // queues, per-terminal offered loads and the trace replay cursor.
@@ -16,8 +17,8 @@
 // lists, head_hop_ verdicts) — a woken head redoes a usability check that
 // fails identically; pure verdicts are recomputed by pure_minimal_hop,
 // which is RNG-free by contract — the per-packet minimal-port memos, and
-// the lazily-cleared worklist bits (recomputed as their minimal sets,
-// which the scan loops treat identically).
+// the lazily-cleared pending-terminal bits (recomputed as their minimal
+// set, which the injection loop treats identically).
 #include <istream>
 #include <ostream>
 
@@ -211,10 +212,10 @@ void Engine::save_checkpoint(std::ostream& os) const {
   ser::write_u64(os, workload_ != nullptr ? workload_->cursor() : 0);
 
   // --- timing wheels -----------------------------------------------------
-  // v3: the sharded engine keeps one wheel triple per shard (the global
-  // wheels stay empty), serialized shard-major. The event encodings are
-  // identical across modes; only the grouping differs. Exact checkpoints
-  // keep the v2 single-wheel layout under the bumped version.
+  // v3: one wheel triple per shard, serialized shard-major behind the
+  // shard count. The event encodings are identical across modes; only
+  // the grouping differs. Exact mode's single shard omits the count, so
+  // its checkpoints keep the v2 single-wheel layout.
   const auto write_wheels = [&](const SlabEventRing<FlitEvent>& fr,
                                 const SlabEventRing<CreditEvent>& cr,
                                 const SlabEventRing<PacketId>& dr) {
@@ -236,13 +237,9 @@ void Engine::save_checkpoint(std::ostream& os) const {
       dr.visit(slot, [&](const PacketId id) { ser::write_i32(os, id); });
     }
   };
-  if (sharded_) {
-    ser::write_u64(os, shards_.size());
-    for (const Shard& s : shards_) {
-      write_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
-    }
-  } else {
-    write_wheels(flit_ring_, credit_ring_, delivery_ring_);
+  if (sharded_) ser::write_u64(os, shards_.size());
+  for (const Shard& s : shards_) {
+    write_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
   }
 
   // --- routing mechanism state ------------------------------------------
@@ -541,13 +538,9 @@ void Engine::restore(std::istream& is) {
       }
     }
   };
-  if (sharded_) {
-    ser::expect_u64(is, shards_.size(), "shard count");
-    for (Shard& s : shards_) {
-      read_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
-    }
-  } else {
-    read_wheels(flit_ring_, credit_ring_, delivery_ring_);
+  if (sharded_) ser::expect_u64(is, shards_.size(), "shard count");
+  for (Shard& s : shards_) {
+    read_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
   }
 
   // --- routing mechanism state + end sentinel ----------------------------
@@ -573,7 +566,6 @@ void Engine::restore(std::istream& is) {
   // changes no decision.
   std::fill(occupied_ports_.begin(), occupied_ports_.end(), 0);
   std::fill(nonempty_vcs_.begin(), nonempty_vcs_.end(), 0);
-  std::fill(active_routers_.begin(), active_routers_.end(), 0);
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
     for (PortId p = 0; p < ports_; ++p) {
       if ((in_scan_[port_index(r, p)] >> 16) != 0) {
@@ -585,16 +577,10 @@ void Engine::restore(std::istream& is) {
         }
       }
     }
-    if (nonempty_vcs_[static_cast<std::size_t>(r)] > 0) {
-      mark_router_active(r);
-    }
   }
   std::fill(pending_terminals_.begin(), pending_terminals_.end(), 0);
   for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
-    const TerminalState& ts = terminals_[static_cast<std::size_t>(t)];
-    if (!ts.pending_created.empty() || ts.burst_remaining > 0 ||
-        (has_forced_dst_ &&
-         !forced_dst_[static_cast<std::size_t>(t)].empty())) {
+    if (terminal_has_work(t, terminals_[static_cast<std::size_t>(t)])) {
       mark_terminal_pending(t);
     }
   }

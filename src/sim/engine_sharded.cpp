@@ -1,9 +1,11 @@
-// The group-sharded parallel stepper (EngineConfig::sharded).
+// The stepper: shards, the four-phase cycle, and the worker team.
 //
-// Routers are partitioned by group: shard s owns routers [s*a, (s+1)*a)
-// and their terminals, AND its own flit/credit/delivery timing wheels —
-// every event addressed to a router in s lives in s's rings. A cycle runs
-// as
+// Routers are partitioned into shards: shard s owns routers
+// [s*n, (s+1)*n) and their terminals, AND its own flit/credit/delivery
+// timing wheels — every event addressed to a router in s lives in s's
+// rings. Sharded mode (EngineConfig::sharded) cuts one shard per group;
+// exact mode is the one-shard case, a single shard covering every router.
+// A cycle runs as
 //
 //   1. parallel — each shard drains this cycle's slot of its own credit
 //                 and flit rings (arrival bookkeeping, own routers only)
@@ -20,26 +22,32 @@
 //
 // The serial work per cycle is O(cross-shard events + shards), not
 // O(all events + shards): intra-shard traffic — all local and terminal
-// links, the bulk of every cycle — never leaves its shard.
+// links, the bulk of every cycle — never leaves its shard. With exact
+// mode's single shard the outboxes stay empty, and "parallel" means the
+// calling thread runs the one shard.
 //
-// Determinism for ANY worker count: the partition is a pure function of
-// the topology, the parallel phases touch only owner-shard state and
-// draw from counter-based RNG streams keyed by (seed, cycle, entity),
-// and each shard's ring contents are a pure function of that shard's
-// deterministic staging order plus the ascending-shard outbox replay.
-// Event order *within* one ring slot is arrival-bookkeeping-neutral (at
-// most one flit per input port per cycle — upstream links serialize —
-// and credit application commutes), so results are bit-identical across
-// jobs=1..N. They are NOT bit-compatible with the exact engine, whose
-// single shared RNG cursor implies a different draw sequence.
+// The modes differ only where randomness comes from and in the injection
+// loop. Exact mode draws every routing decision and generation coin from
+// the engine's single stream, in ascending router/terminal order — its
+// historical contract. Sharded mode must be deterministic for ANY worker
+// count: the partition is a pure function of the topology, the parallel
+// phases touch only owner-shard state and draw from counter-based RNG
+// streams keyed by (seed, cycle, entity), and each shard's ring contents
+// are a pure function of that shard's deterministic staging order plus
+// the ascending-shard outbox replay. Event order *within* one ring slot
+// is arrival-bookkeeping-neutral (at most one flit per input port per
+// cycle — upstream links serialize — and credit application commutes),
+// so results are bit-identical across jobs=1..N. They are NOT
+// bit-compatible with exact mode, whose single shared RNG cursor implies
+// a different draw sequence.
 #include <cassert>
 #include <chrono>
 #include <memory>
 #include <mutex>
 
 #include "common/env.hpp"
+#include "runtime/barrier_team.hpp"
 #include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/engine.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/workload.hpp"
@@ -85,10 +93,11 @@ Engine::~Engine() {
 }
 
 void Engine::init_shards() {
-  sharded_ = true;
-  profile_ = cfg_.profile || env_flag("DF_PROFILE");
-  routers_per_shard_ = topo_.routers_per_group();
-  const int num_shards = topo_.num_groups();
+  sharded_ = cfg_.sharded;
+  profile_ = sharded_ && (cfg_.profile || env_flag("DF_PROFILE"));
+  routers_per_shard_ =
+      sharded_ ? topo_.routers_per_group() : topo_.num_routers();
+  const int num_shards = topo_.num_routers() / routers_per_shard_;
   shards_.resize(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
@@ -105,38 +114,28 @@ void Engine::init_shards() {
   // One pool slab per shard: phase 3 creates packets concurrently, each
   // shard from its own slab (see PacketPool).
   pool_.reset(shards_.size());
-  shard_assign_static_ =
-      env_str("DF_SHARD_ASSIGN", "static") != "dynamic";
+  // A single shard runs on the calling thread; only a partition needs
+  // the worker count (whose default lookup can read sysfs).
   shard_workers_ =
-      std::min(runtime::resolve_jobs(cfg_.shard_jobs), num_shards);
+      num_shards == 1
+          ? 1
+          : std::min(runtime::resolve_jobs(cfg_.shard_jobs), num_shards);
   if (shard_workers_ > 1) {
     shard_team_ = std::make_unique<runtime::BarrierTeam>(
         shard_workers_, [this](int w) { shard_worker(w); });
   }
 }
 
-// The fixed per-worker callback the barrier team runs each phase. Static
-// block assignment keeps shard w's state in the same worker's cache for
-// both phases of every cycle; the dynamic path re-claims shards through
-// an atomic cursor (PR-7 behavior, useful under skewed shard costs).
-// Either way the phases touch disjoint state, so assignment affects only
-// locality, never results.
+// The fixed per-worker callback the barrier team runs each phase. Block
+// assignment keeps shard w's state in the same worker's cache for both
+// phases of every cycle. The phases touch disjoint state, so assignment
+// affects only locality, never results.
 void Engine::shard_worker(int w) {
-  void (Engine::*phase)(Shard&) = shard_phase_;
   const std::size_t n = shards_.size();
-  if (shard_assign_static_) {
-    const auto W = static_cast<std::size_t>(shard_workers_);
-    const auto uw = static_cast<std::size_t>(w);
-    const std::size_t lo = n * uw / W;
-    const std::size_t hi = n * (uw + 1) / W;
-    for (std::size_t i = lo; i < hi; ++i) (this->*phase)(shards_[i]);
-    return;
-  }
-  for (;;) {
-    const std::size_t i =
-        shard_next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
-    (this->*phase)(shards_[i]);
+  const auto W = static_cast<std::size_t>(shard_workers_);
+  const auto uw = static_cast<std::size_t>(w);
+  for (std::size_t i = n * uw / W; i < n * (uw + 1) / W; ++i) {
+    (this->*shard_phase_)(shards_[i]);
   }
 }
 
@@ -146,16 +145,16 @@ void Engine::run_shards(void (Engine::*phase)(Shard&)) {
     return;
   }
   shard_phase_ = phase;
-  shard_next_.store(0, std::memory_order_relaxed);
   shard_team_->run();
 }
 
-bool Engine::step_sharded() {
-  return profile_ ? step_sharded_impl<true>() : step_sharded_impl<false>();
+bool Engine::step() {
+  if (deadlock_) return false;
+  return profile_ ? step_impl<true>() : step_impl<false>();
 }
 
 template <bool kProfile>
-bool Engine::step_sharded_impl() {
+bool Engine::step_impl() {
   // Timestamps are taken at the phase boundaries, so the four phase
   // counters tile the step exactly: arrive + deliver + alloc + flush ==
   // total by construction. The untimed instantiation contains no clock
@@ -164,7 +163,7 @@ bool Engine::step_sharded_impl() {
   if constexpr (kProfile) t0 = profile_now_ns();
 
   // Phase 1 (parallel): per-shard arrival bookkeeping straight off each
-  // shard's own rings — the global drain-and-partition phase is gone.
+  // shard's own rings.
   run_shards(&Engine::arrive_shard);
   if constexpr (kProfile) t1 = profile_now_ns();
 
@@ -183,8 +182,8 @@ bool Engine::step_sharded_impl() {
         s.index, static_cast<std::size_t>(s.end_terminal - s.first_terminal));
   }
   routing_.per_cycle(*this);
-  // Trace rows feed at the same serial point as the exact stepper's:
-  // after routing bookkeeping, before allocation/injection sees them.
+  // Trace rows feed after routing bookkeeping, before allocation and
+  // injection see them.
   if (workload_trace_) feed_trace();
   if constexpr (kProfile) t2 = profile_now_ns();
 
@@ -214,11 +213,9 @@ bool Engine::step_sharded_impl() {
   return !deadlock_;
 }
 
-// Mirrors process_arrivals() minus the active-router bitmap: the sharded
-// allocator walks its own router range directly, and the bitmap's words
-// straddle shard boundaries (a cross-shard read-modify-write hazard).
-// Slot order differs from the retired global wheel (same-shard events
-// precede cross-shard ones) but arrival bookkeeping is order-invariant
+// Arrival bookkeeping for one shard's routers. With several shards the
+// slot order differs from a single global wheel (same-shard events
+// precede cross-shard ones), but arrival bookkeeping is order-invariant
 // within a slot: credits commute, and the upstream link's serialization
 // means at most one flit per input port per cycle.
 void Engine::arrive_shard(Shard& s) {
@@ -266,11 +263,17 @@ void Engine::arrive_shard(Shard& s) {
       });
 }
 
+// Routers with buffered flits are visited in ascending id order — the
+// order of the exhaustive scan this walk replaced; exact mode's routing
+// decisions draw from the shared stream inside decide(), so the order is
+// part of its contract.
 void Engine::allocate_and_inject_shard(Shard& s) {
   for (RouterId r = s.first_router; r < s.end_router; ++r) {
-    if (nonempty_vcs_[static_cast<size_t>(r)] > 0) {
-      allocate_router(r, s.scratch, &s);
-    }
+    if (nonempty_vcs_[static_cast<size_t>(r)] > 0) allocate_router(r, s);
+  }
+  if (!sharded_) {
+    inject_terminals_exact(s);
+    return;
   }
 
   const bool draws = injection_.mode == InjectionProcess::Mode::kBernoulli &&
@@ -302,14 +305,8 @@ void Engine::allocate_and_inject_shard(Shard& s) {
           has_terminal_loads_
               ? terminal_gen_threshold_[static_cast<std::size_t>(t)]
               : threshold;
-      const bool generate =
-          th == ~0ULL || mix64(kcd, static_cast<std::uint64_t>(t)) < th;
-      if (generate) {
-        const bool accepted =
-            ts.pending_created.size() <
-            static_cast<std::size_t>(cfg_.source_queue_cap);
-        if (accepted) ts.pending_created.push_back(now_);
-        if (on_generated_) s.gen_accepted.push_back(accepted ? 1 : 0);
+      if (th == ~0ULL || mix64(kcd, static_cast<std::uint64_t>(t)) < th) {
+        generate(ts, s);
       } else if (!terminal_has_work(t, ts)) {
         continue;  // nothing generated, nothing queued: no attempt
       }
@@ -335,14 +332,7 @@ void Engine::allocate_and_inject_shard(Shard& s) {
       } else if (trng.bernoulli(injection_.onoff_on)) {
         on = 1;
       }
-      const bool generate = on != 0 && trng.bernoulli(gen_probability_on_);
-      if (generate) {
-        const bool accepted =
-            ts.pending_created.size() <
-            static_cast<std::size_t>(cfg_.source_queue_cap);
-        if (accepted) ts.pending_created.push_back(now_);
-        if (on_generated_) s.gen_accepted.push_back(accepted ? 1 : 0);
-      }
+      if (on != 0 && trng.bernoulli(gen_probability_on_)) generate(ts, s);
       try_inject_shard(t, ts, &trng, s);
     }
     return;
@@ -359,10 +349,10 @@ void Engine::allocate_and_inject_shard(Shard& s) {
   }
 }
 
-// try_inject + materialize, restricted to owner-shard state: the packet
-// comes from the shard's own pool slab (the serial deliver phase reserved
-// the chunk-table room), and its flits enter the shard's own wheel — the
-// source terminal's router is in this shard.
+// Restricted to owner-shard state: the packet comes from the shard's own
+// pool slab (the serial deliver phase reserved the chunk-table room), and
+// its flits enter the shard's own wheel — the source terminal's router is
+// in this shard.
 void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
                               Shard& s) {
   if (!terminal_has_work(t, ts)) return;
@@ -383,9 +373,8 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
   if (has_forced_dst_ && !forced_dst_[ti].empty()) {
     // Forced packets (scripted injections, workload replies, message
     // bodies, trace rows) carry their own creation time and flags and go
-    // ahead of the Bernoulli backlog — mirroring materialize(). Terminal
-    // t's queues belong to this shard alone, so the parallel-phase pop
-    // is race-free.
+    // ahead of the Bernoulli backlog. Terminal t's queues belong to this
+    // shard alone, so the parallel-phase pop is race-free.
     created = forced_created_[ti].front();
     forced_created_[ti].pop_front();
     dst = forced_dst_[ti].front();
@@ -411,12 +400,13 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
     }
     dst = pattern_->dest(t, *rng);
     if (workload_ != nullptr) {
-      // Multi-packet messages: the size draw comes from the same keyed
-      // stream as the destination, keeping it a pure function of
-      // (seed, cycle, terminal) — hence jobs-invariant. Body packets
-      // queue as forced entries behind this head (own-terminal push:
-      // race-free); their generation hook replays from the staging
-      // buffer at the serial flush.
+      // Multi-packet messages: the size draw comes from the same stream
+      // as the destination (in sharded mode a pure function of (seed,
+      // cycle, terminal) — hence jobs-invariant). Body packets queue as
+      // forced entries behind this head (same destination and creation
+      // time, never triggering replies; own-terminal push: race-free);
+      // their generation hook replays from the staging buffer at the
+      // serial flush.
       const int extra = workload_->message_packets(t, *rng) - 1;
       for (int k = 0; k < extra; ++k) {
         const bool accepted =
@@ -427,12 +417,15 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
   }
   assert(dst != t && dst >= 0 && dst < topo_.num_terminals());
 
+  // A packet addressed to a terminal on a dead router can never be
+  // delivered; it is dropped at the source (counted, so accepted-load
+  // analysis can separate fault losses from congestion).
   if (has_dead_terminals_ && terminal_dead_[static_cast<size_t>(dst)]) {
     ++s.dead_dst_drops;
     return;
   }
 
-  inject_packet(s.index, t, ts, dst, created, flags, s.flit_ring);
+  inject_packet(s, t, ts, dst, created, flags);
   s.progressed = true;
 }
 

@@ -1,6 +1,6 @@
-// The ThreadPool primitive under the parallel sweep runtime. These
-// suites (with parallel_sweep_test) are what the tsan CI job runs: the
-// pool and the sharded queue are the only concurrent code in the tree.
+// The BarrierTeam phase barrier the sharded engine steps its shards with.
+// These suites (with parallel_sweep_test and the sharded engine's) are
+// what the tsan CI job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,80 +9,10 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
+#include "runtime/barrier_team.hpp"
 
 namespace dfsim::runtime {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTaskExactlyOnce) {
-  constexpr int kTasks = 500;
-  std::vector<std::atomic<int>> hits(kTasks);
-  ThreadPool pool(4);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&hits, i] { hits[static_cast<std::size_t>(i)]++; });
-  }
-  pool.wait_idle();
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPoolTest, WaitIdleSeparatesPhases) {
-  // One pool serving several sweep phases in sequence: tasks of phase 2
-  // must observe everything phase 1 wrote (wait_idle is the barrier).
-  ThreadPool pool(3);
-  std::atomic<int> phase1{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&phase1] { phase1++; });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(phase1.load(), 64);
-
-  std::atomic<bool> phase2_saw_phase1{true};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&] {
-      if (phase1.load() != 64) phase2_saw_phase1 = false;
-    });
-  }
-  pool.wait_idle();
-  EXPECT_TRUE(phase2_saw_phase1.load());
-}
-
-TEST(ThreadPoolTest, ClampsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1);
-  std::atomic<int> ran{0};
-  pool.submit([&ran] { ran++; });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&ran] { ran++; });
-    }
-    // No wait_idle: the destructor must finish the queue, not drop it.
-  }
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&pool, &ran] {
-      ran++;
-      pool.submit([&ran] { ran++; });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
-}
-
-// --- BarrierTeam ---------------------------------------------------------
 
 TEST(BarrierTeamTest, EveryWorkerIndexRunsOncePerRound) {
   constexpr int kWorkers = 4;

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "api/config.hpp"
@@ -105,6 +106,38 @@ TEST(ParallelSweepTest, GenericJobGridPreservesOrderAndDerivesSeeds) {
   EXPECT_NE(a[0].seed, a[1].seed);
 }
 
+TEST(ParallelSweepTest, BurstPointsRunTheBurstShapeWithDerivedSeeds) {
+  SimConfig base = tiny_config();
+  base.burst_packets = 20;
+  std::vector<ExperimentPoint> grid;
+  for (const std::string routing : {"minimal", "olm"}) {
+    ExperimentPoint pt;
+    pt.series = routing;
+    pt.cfg = base;
+    pt.cfg.routing = routing;
+    pt.burst = true;
+    grid.push_back(pt);
+  }
+  SweepOptions opts;
+  opts.jobs = 2;
+  const auto points = run_experiments(grid, opts);
+  ASSERT_EQ(points.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(points[i].is_burst);
+    EXPECT_FALSE(points[i].is_phased);
+    EXPECT_EQ(points[i].seed, runtime::derive_seed(base.seed, i));
+    SimConfig direct = grid[i].cfg;
+    direct.seed = points[i].seed;
+    const BurstResult ref = run_burst(direct);
+    EXPECT_TRUE(points[i].burst.completed);
+    EXPECT_EQ(points[i].burst.consumption_cycles, ref.consumption_cycles);
+  }
+
+  grid[0].phases = {{800, 2, "", -1.0}};
+  EXPECT_THROW(run_experiments(grid, opts), std::invalid_argument);
+}
+
 TEST(ParallelSweepTest, DeriveSeedsOffKeepsConfigSeed) {
   const SimConfig base = tiny_config();
   SweepOptions opts;
@@ -148,13 +181,27 @@ TEST(ParallelForTest, PropagatesBodyException) {
       std::runtime_error);
 }
 
-TEST(ParallelForTest, ParallelMapIsOrdered) {
-  const auto out = runtime::parallel_map<std::size_t>(
-      257, 4, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 257u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(out[i], i * i);
+TEST(ParallelForTest, SplitsTheJobsBudgetAcrossWorkers) {
+  // A body asking for the default worker count (the sharded engine's
+  // shard team does) gets its worker's share of the budget, so nested
+  // parallelism never multiplies past `jobs` threads.
+  const int before = runtime::resolve_jobs(0);
+  for (const auto& [n, share] : {std::pair<std::size_t, int>{4, 1},
+                                 std::pair<std::size_t, int>{2, 2}}) {
+    SCOPED_TRACE(n);
+    std::vector<int> seen(n, 0);
+    std::vector<int> explicit_request(n, 0);
+    runtime::parallel_for(n, 4, [&](std::size_t i) {
+      seen[i] = runtime::resolve_jobs(0);
+      explicit_request[i] = runtime::resolve_jobs(3);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(seen[i], share) << "index " << i;
+      EXPECT_EQ(explicit_request[i], 3) << "index " << i;
+    }
   }
+  // The caller's own resolution is untouched afterwards.
+  EXPECT_EQ(runtime::resolve_jobs(0), before);
 }
 
 TEST(ResolveJobsTest, ExplicitRequestWinsOverDefault) {

@@ -340,5 +340,94 @@ TEST(Engine, RestoreRejectsVcDeeperThanItsBuffer) {
   }
 }
 
+// --- pinned engine state ----------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a digest of the checkpoint an h=2 engine saves at cycle 700,
+/// uniform traffic at 0.4. The checkpoint covers every piece of dynamic
+/// state (VC FIFOs, credits, wheels, pool free lists, RNG cursor), so any
+/// change to what the engine does cycle by cycle moves the digest.
+std::uint64_t checkpoint_digest_at_700(const std::string& routing_name,
+                                       const EngineConfig& ec) {
+  DragonflyTopology topo(2);
+  auto routing = make_routing(routing_name, topo, {});
+  UniformPattern pattern(topo);
+  InjectionProcess inj;
+  inj.load = 0.4;
+  Engine engine(topo, ec, *routing, pattern, inj);
+  engine.run_until(700);
+  EXPECT_FALSE(engine.deadlock_detected());
+  EXPECT_GT(engine.delivered_packets(), 0u);
+  std::stringstream os;
+  engine.save_checkpoint(os);
+  return fnv1a(os.str());
+}
+
+TEST(EnginePins, ExactVctOlmCheckpointDigest) {
+  EngineConfig ec = small_vct();
+  ec.seed = 11;
+  EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0x8168eb35de8f3a37ULL);
+}
+
+TEST(EnginePins, ExactWormholeRlmCheckpointDigest) {
+  EngineConfig ec;
+  ec.flow = FlowControl::kWormhole;
+  ec.packet_phits = 80;
+  ec.flit_phits = 10;
+  ec.seed = 11;
+  EXPECT_EQ(checkpoint_digest_at_700("rlm", ec), 0x733d355e7434ec4eULL);
+}
+
+TEST(EnginePins, ShardedVctOlmCheckpointDigest) {
+  EngineConfig ec = small_vct();
+  ec.seed = 11;
+  ec.sharded = true;
+  ec.shard_jobs = 2;
+  EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0xfc22e614b0ee95c1ULL);
+}
+
+// Hop hooks are staged during allocation and replayed at the end of the
+// step: after every step() the phits the hook saw, summed per port class,
+// must equal the engine's own phits_sent counters. A staged hook that is
+// lost, doubled or replayed a cycle late breaks the equality.
+TEST(Engine, HopHookPhitsMatchPhitsSentEveryStep) {
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "exact");
+    EngineConfig ec = small_vct();
+    ec.seed = 23;
+    ec.sharded = sharded;
+    ec.shard_jobs = 2;
+    DragonflyTopology topo(2);
+    auto routing = make_routing("olm", topo, {});
+    UniformPattern pattern(topo);
+    InjectionProcess inj;
+    inj.load = 0.4;
+    Engine engine(topo, ec, *routing, pattern, inj);
+    std::uint64_t hooked[3] = {0, 0, 0};
+    engine.set_hop_hook(
+        [&](const Packet& pkt, const RouteChoice& choice, RouterId) {
+          hooked[static_cast<int>(topo.port_class(choice.port))] +=
+              static_cast<std::uint64_t>(pkt.size_phits);
+        });
+    for (Cycle t = 0; t < 800; ++t) {
+      ASSERT_TRUE(engine.step());
+      for (const PortClass cls :
+           {PortClass::kLocal, PortClass::kGlobal, PortClass::kTerminal}) {
+        ASSERT_EQ(hooked[static_cast<int>(cls)], engine.phits_sent(cls))
+            << "cycle " << t << " class " << static_cast<int>(cls);
+      }
+    }
+    EXPECT_GT(engine.phits_sent(PortClass::kGlobal), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace dfsim
