@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <type_traits>
 
@@ -19,6 +20,11 @@ std::size_t next_pow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
   return p;
+}
+
+constexpr std::size_t kCacheLine = 64;
+std::size_t round_up_line(std::size_t v) {
+  return (v + kCacheLine - 1) & ~(kCacheLine - 1);
 }
 }  // namespace
 
@@ -145,25 +151,11 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
         "topology too large: total VC count overflows 32-bit VC indices");
   }
   occ_words_ = (ports_ + 63) / 64;
-
-  in_vcs_.resize(num_vcs);
-  out_vcs_.resize(num_vcs);
-  vc_sleep_until_.assign(num_vcs, 0);
-  head_hop_.assign(num_vcs, kHeadUnknown);
-  ovc_waiter_head_.assign(num_vcs, -1);
-  vc_waiter_next_.assign(num_vcs, kNotWaiting);
-  out_busy_until_.assign(num_ports, 0);
-  in_scan_.assign(num_ports, 0);
-  port_wake_.assign(num_ports, 0);
-  out_rr_.assign(num_ports, 0);
-  occupied_ports_.assign(num_routers * static_cast<std::size_t>(occ_words_),
-                         0);
-  nonempty_vcs_.assign(num_routers, 0);
+  allocate_state();
 
   // Initialize credits to the downstream buffer capacity. Port classes
   // match across a link (local<->local, global<->global). Cache the far
   // endpoint of every link while we walk the ports.
-  endpoints_.resize(num_ports);
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
     for (PortId p = 0; p < ports_; ++p) {
       const PortClass cls = pclass(p);
@@ -217,6 +209,51 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   ring_size_ = next_pow2(static_cast<size_t>(
       cfg_.global_latency + std::max(cfg_.packet_phits, flit_phits_) + 4));
   init_shards();
+}
+
+// Two passes over one layout: the first (base == nullptr) only sums the
+// sizes, the second constructs every array in the block. Each array
+// starts on its own cache line. The block is a plain new[] of the same
+// size every build, aligned by hand: an aligned allocation asks malloc for
+// more than it hands back, so the hole a destroyed engine leaves would
+// never fit the next engine's request and a process building engine
+// after engine would grow by a whole state per few builds.
+void Engine::allocate_state() {
+  const auto num_routers = static_cast<std::size_t>(topo_.num_routers());
+  const auto num_ports = num_routers * static_cast<std::size_t>(ports_);
+  const auto num_vcs = num_ports * static_cast<std::size_t>(vc_stride_);
+  const auto layout = [&](std::byte* base) {
+    std::size_t offset = 0;
+    const auto carve = [&](auto*& array, std::size_t n, auto init) {
+      using T = std::remove_pointer_t<std::remove_reference_t<decltype(array)>>;
+      static_assert(std::is_trivially_destructible_v<T>,
+                    "the block is freed without running destructors");
+      if (base != nullptr) {
+        array = reinterpret_cast<T*>(base + offset);
+        std::uninitialized_fill_n(array, n, static_cast<T>(init));
+      }
+      offset = round_up_line(offset + n * sizeof(T));
+    };
+    carve(in_vcs_, num_vcs, InputVc{});
+    carve(out_vcs_, num_vcs, OutputVc{});
+    carve(vc_sleep_until_, num_vcs, Cycle{0});
+    carve(head_hop_, num_vcs, kHeadUnknown);
+    carve(ovc_waiter_head_, num_vcs, -1);
+    carve(vc_waiter_next_, num_vcs, kNotWaiting);
+    carve(endpoints_, num_ports, DragonflyTopology::Endpoint{});
+    carve(out_busy_until_, num_ports, Cycle{0});
+    carve(in_scan_, num_ports, 0);
+    carve(port_wake_, num_ports, Cycle{0});
+    carve(out_rr_, num_ports, 0);
+    carve(occupied_ports_, num_routers * static_cast<std::size_t>(occ_words_),
+          0);
+    carve(nonempty_vcs_, num_routers, 0);
+    return offset;
+  };
+  state_bytes_ = layout(nullptr) + kCacheLine;
+  state_block_.reset(new std::byte[state_bytes_]);
+  const auto raw = reinterpret_cast<std::uintptr_t>(state_block_.get());
+  layout(state_block_.get() + (round_up_line(raw) - raw));
 }
 
 void Engine::deliver(PacketId id) {
@@ -774,12 +811,7 @@ std::size_t Engine::footprint_bytes() const {
   };
   std::size_t total = sizeof(Engine);
   total += vec(port_class_) + vec(vc_count_);
-  total += vec(in_vcs_) + vec(out_vcs_);
-  total += vec(vc_sleep_until_) + vec(head_hop_) + vec(port_wake_);
-  total += vec(ovc_waiter_head_) + vec(vc_waiter_next_);
-  total += vec(endpoints_) + vec(out_busy_until_) + vec(in_scan_) +
-           vec(out_rr_);
-  total += vec(occupied_ports_) + vec(nonempty_vcs_);
+  total += state_bytes_;
   total += vec(pending_terminals_);
   total += vec(terminals_) + vec(onoff_state_) + vec(terminal_dead_);
   for (const TerminalState& ts : terminals_) {

@@ -7,9 +7,10 @@
 //
 // One state layout and one step for both engine modes. Routers are
 // partitioned into shards, each owning its routers' flit slab and its own
-// flit/credit/delivery timing wheels: one shard per group in sharded mode,
-// a single shard covering the whole network in exact mode. Every cycle
-// runs the same four phases (engine_sharded.cpp):
+// flit/credit/delivery timing wheels: in sharded mode one contiguous
+// range of groups per shard worker, in exact mode a single shard covering
+// the whole network. Every cycle runs the same four phases
+// (engine_sharded.cpp):
 //   1. arrive  — each shard drains this cycle's credits and flits
 //   2. deliver — packet deliveries, RoutingAlgorithm::per_cycle, trace rows
 //   3. alloc   — each shard's switch allocation, then injection
@@ -21,7 +22,8 @@
 // by the pending-terminal bitmap; sharded: keyed per-terminal draws).
 //
 // Hot-path layout: all per-router and per-terminal state lives in flat
-// engine-level arrays (no per-router heap objects), every input VC's flit
+// engine-level arrays (no per-router heap objects; the per-VC and per-port
+// ones are carved from a single allocation), every input VC's flit
 // FIFO is a chain of 64-byte chunks from its shard's flit slab (held only
 // while the VC holds flits), and the timing wheels recycle slab chunks
 // across wraps. Routers are visited in ascending id order when they hold
@@ -76,17 +78,19 @@ struct EngineConfig {
   /// source queue, is the bottleneck whenever the cap binds).
   int source_queue_cap = 256;
 
-  /// Opt-in group-sharded mode (DF_ENGINE=sharded): one shard per group
-  /// instead of exact mode's single shard, the shards stepped by a worker
-  /// team with per-phase barriers, and every RNG draw from a counter-based
-  /// stream keyed by (seed, cycle, entity) — results are bit-identical for
-  /// ANY worker count, but NOT bit-compatible with the default exact mode
+  /// Opt-in sharded mode (DF_ENGINE=sharded): the groups are cut into one
+  /// contiguous range per shard worker instead of exact mode's single
+  /// shard, the shards stepped by a worker team with per-phase barriers,
+  /// and every RNG draw from a counter-based stream keyed by (seed, cycle,
+  /// entity) — results and checkpoint bytes are bit-identical for ANY
+  /// worker count, but NOT bit-compatible with the default exact mode
   /// (whose single-stream ascending draw order is its own contract). VCT
   /// only.
   bool sharded = false;
-  /// Worker threads for sharded mode; 0 resolves via
-  /// runtime::resolve_jobs (--jobs / DF_JOBS / hardware concurrency, or
-  /// inside a parallel_for worker that worker's share of the budget).
+  /// Worker threads for sharded mode, hence its shard count (capped at
+  /// the group count); 0 resolves via runtime::resolve_jobs (--jobs /
+  /// DF_JOBS / hardware concurrency, or inside a parallel_for worker that
+  /// worker's share of the budget).
   int shard_jobs = 0;
 
   /// Per-phase cycle profiler for sharded mode (DF_PROFILE=1 is
@@ -158,7 +162,7 @@ class Engine {
   std::uint64_t phits_sent(PortClass cls) const {
     return phits_sent_[static_cast<int>(cls)];
   }
-  /// True in sharded mode (one shard per group, keyed RNG).
+  /// True in sharded mode (one shard per worker, keyed RNG).
   bool sharded() const { return sharded_; }
 
   /// Per-phase wall-clock totals of sharded mode, accumulated only
@@ -345,9 +349,13 @@ class Engine {
   /// pointed message.
   /// v5: the packet pool is saved slab by slab (one per shard in sharded
   /// mode), packets drop their flit count and flit size, flits their
-  /// size and credit events their phit count (all engine constants); v4
-  /// streams are rejected with a pointed message.
-  static constexpr std::uint32_t kCheckpointVersion = 5;
+  /// size and credit events their phit count (all engine constants).
+  /// v6: sharded streams no longer depend on the shard partition: one
+  /// pool slab with the live packets renumbered densely, and one wheel
+  /// triple in global router order with no shard count. A stream saved
+  /// at any worker count restores at any other. Exact-mode streams are
+  /// laid out as in v5.
+  static constexpr std::uint32_t kCheckpointVersion = 6;
 
   /// Serialize the complete dynamic engine state behind a versioned,
   /// shape-checked header: every input-VC FIFO (its flits in order), all
@@ -359,6 +367,7 @@ class Engine {
   /// (sleep timers, waiter lists, pure-hop verdicts, minimal-port memos)
   /// are NOT serialized: rebuilding them draws no randomness and changes
   /// no decision, so a restored run replays bit-identically without them.
+  /// Sharded streams are canonical: the same bytes at every worker count.
   /// Call only between step() boundaries (never from a hook).
   void save_checkpoint(std::ostream& os) const;
 
@@ -594,7 +603,6 @@ class Engine {
   template <bool kProfile>
   bool step_impl();
   void run_shards(void (Engine::*phase)(Shard&));
-  void shard_worker(int worker);
   void arrive_shard(Shard& s);
   void allocate_and_inject_shard(Shard& s);
   /// Try to inject terminal `t`'s next packet: forced entries first, else
@@ -637,16 +645,26 @@ class Engine {
   std::vector<std::uint8_t> port_class_;  // [port] -> PortClass
   std::vector<std::int32_t> vc_count_;    // [port]
 
-  // Flat router state, indexed via port_index()/vc_index().
-  std::vector<InputVc> in_vcs_;
-  std::vector<OutputVc> out_vcs_;
+  // Flat router state, indexed via port_index()/vc_index(). Every array
+  // from here to nonempty_vcs_ is carved from state_block_ (see
+  // allocate_state): one allocation instead of thirteen. That lets a
+  // process that builds engine after engine reuse the pages the last one
+  // faulted in: glibc trims the heap top once it holds more free memory
+  // than twice the largest block freed so far, and with separate arrays
+  // that bound sat below the state they summed to, so every build
+  // faulted its whole state in afresh.
+  std::unique_ptr<std::byte[]> state_block_;
+  std::size_t state_bytes_ = 0;
+  void allocate_state();
+  InputVc* in_vcs_ = nullptr;
+  OutputVc* out_vcs_ = nullptr;
   /// Retry suppression for heads blocked by output serialization: while a
   /// pure-minimal head (or a wormhole continuation, which never consults
   /// the routing mechanism) waits on a port that is busy until cycle T,
   /// no cycle before T can change the verdict and no RNG would be drawn —
   /// so the VC sleeps until min(T, its watchdog deadline) and the scan
   /// skips it with a single load. Bit-identical to retrying every cycle.
-  std::vector<Cycle> vc_sleep_until_;
+  Cycle* vc_sleep_until_ = nullptr;
   /// Port-level aggregation of vc_sleep_until_: when EVERY nonempty VC of
   /// an input port is asleep, the port records its earliest wake here and
   /// the allocation scan skips the whole port with a single load (instead
@@ -656,7 +674,7 @@ class Engine {
   /// sleeps simply expire. Like the per-VC sleeps this is derived,
   /// behavior-neutral state: a skipped visit would have nominated nothing
   /// and drawn no RNG, so results are bit-identical with or without it.
-  std::vector<Cycle> port_wake_;
+  Cycle* port_wake_ = nullptr;
   /// Per-VC verdict of RoutingAlgorithm::pure_minimal_hop for the current
   /// head flit: kHeadUnknown (re-ask on next scan), kHeadImpure (full
   /// decide() every retry), or the encoded pure hop port*16+vc. Reset
@@ -664,27 +682,27 @@ class Engine {
   /// the head's RouteState cannot change between those points, so a
   /// cached verdict never goes stale. Pure retries then touch neither the
   /// packet pool nor the flit slab.
-  std::vector<std::int16_t> head_hop_;
+  std::int16_t* head_hop_ = nullptr;
   static constexpr std::int16_t kHeadUnknown = -1;
   static constexpr std::int16_t kHeadImpure = -2;
   /// Intrusive waiter lists for the event-driven half of retry
   /// suppression: ovc_waiter_head_[output vc] chains the input VCs whose
   /// pure heads are blocked on that VC's credits/ownership, linked
   /// through vc_waiter_next_[input vc] (kNotWaiting when not enlisted).
-  std::vector<std::int32_t> ovc_waiter_head_;
-  std::vector<std::int32_t> vc_waiter_next_;
+  std::int32_t* ovc_waiter_head_ = nullptr;
+  std::int32_t* vc_waiter_next_ = nullptr;
   static constexpr std::int32_t kNotWaiting = -2;
-  std::vector<DragonflyTopology::Endpoint> endpoints_;  // [router*ports+port]
-  std::vector<Cycle> out_busy_until_;          // [router*ports+port]
+  DragonflyTopology::Endpoint* endpoints_ = nullptr;  // [router*ports+port]
+  Cycle* out_busy_until_ = nullptr;                   // [router*ports+port]
   /// Input-side per-port scan state, packed so the allocation scan loads
   /// one word per port: low 16 bits = RR pointer over VCs (pre-reduced),
   /// high 16 bits = bitmask of nonempty VCs.
-  std::vector<std::uint32_t> in_scan_;         // [router*ports+port]
-  std::vector<std::uint16_t> out_rr_;  // [router*ports+port], over inputs
+  std::uint32_t* in_scan_ = nullptr;  // [router*ports+port]
+  std::uint16_t* out_rr_ = nullptr;   // [router*ports+port], over inputs
   /// Occupied-port bitmask, occ_words_ words per router (see occ_index).
-  std::vector<std::uint64_t> occupied_ports_;
+  std::uint64_t* occupied_ports_ = nullptr;
   int occ_words_ = 1;
-  std::vector<std::int32_t> nonempty_vcs_;     // [router]
+  std::int32_t* nonempty_vcs_ = nullptr;  // [router]
 
   /// Exact mode's injection worklist: a terminal is pending while its
   /// source queue, burst budget or forced queue is nonempty. Exact mode
@@ -750,16 +768,18 @@ class Engine {
   HopHook on_hop_;
 
   // --- shards -----------------------------------------------------------
-  // Shard s owns routers [s*n, (s+1)*n) and their terminals — n is a
-  // group's routers in sharded mode, every router in exact mode — so
-  // shard-ascending iteration IS router-ascending iteration. Each shard
-  // owns its OWN timing wheels: during the parallel phases a shard drains
-  // arrivals from / schedules same-shard futures into its own rings
-  // directly, and only cross-shard events (global-link flits and their
-  // credits) are staged in a per-source-shard outbox that the serial
-  // flush replays in ascending shard order. The serial work per cycle is
-  // therefore O(cross-shard events), not O(all events); with exact mode's
-  // single shard the outboxes stay empty.
+  // Shard s owns a contiguous range of whole groups — its routers
+  // [first_router, end_router) and their terminals — so shard-ascending
+  // iteration IS router-ascending iteration. Sharded mode cuts one range
+  // per shard worker (W = min(workers, groups), ranges as even as the
+  // group count allows), exact mode a single range covering every router.
+  // Each shard owns its OWN timing wheels: during the parallel phases a
+  // shard drains arrivals from / schedules same-shard futures into its own
+  // rings directly, and only cross-shard events (global-link flits and
+  // their credits between ranges) are staged in a per-source-shard outbox
+  // that the serial flush replays in ascending shard order. The serial
+  // work per cycle is therefore O(cross-shard events), not O(all events);
+  // with a single shard the outboxes stay empty.
   struct StagedFlit {
     Cycle at;
     FlitEvent ev;
@@ -774,7 +794,8 @@ class Engine {
     RouterId router;
   };
   struct Shard {
-    std::size_t index = 0;  ///< also the shard's packet-pool slab
+    std::size_t index = 0;  ///< also the shard's packet-pool slab and the
+                            ///< barrier-team worker that runs it
     RouterId first_router = 0;
     RouterId end_router = 0;
     NodeId first_terminal = 0;
@@ -812,12 +833,12 @@ class Engine {
   /// Phase dispatched to the persistent worker team; set by run_shards
   /// before releasing the barrier (the team's callback is fixed).
   void (Engine::*shard_phase_)(Shard&) = nullptr;
-  /// Worker w owns shards [w*n/W, (w+1)*n/W) every phase of every cycle,
-  /// so a shard's state stays in one worker's cache.
-  int shard_workers_ = 1;
-  int routers_per_shard_ = 1;
+  /// The shard holding router r: shard s covers groups
+  /// [s*G/W, (s+1)*G/W), so group g lies in shard ceil((g+1)*W/G) - 1.
   std::size_t shard_of(RouterId r) const {
-    return static_cast<std::size_t>(r / routers_per_shard_);
+    const auto g = static_cast<std::size_t>(topo_.group_of_router(r));
+    return ((g + 1) * shards_.size() - 1) /
+           static_cast<std::size_t>(topo_.num_groups());
   }
   bool profile_ = false;  ///< sharded mode only
   PhaseProfile profile_data_;

@@ -2,15 +2,30 @@
 // killed at cycle C resumes bit-identically (exact-mode determinism).
 //
 // What is saved: the clock, the RNG cursor, every input-VC FIFO, credits
-// and wormhole bindings, switch round-robin pointers, the packet pool
-// slab by slab (slot contents and free-list order — future alloc() ids
-// must replay), per-terminal source queues / burst budgets / ON/OFF
-// chains, the timing wheels' in-flight events (one wheel triple per shard;
-// exact mode's single shard writes the pre-shard single-wheel layout),
-// delivery counters,
-// the routing mechanism's cross-cycle state, and (v4) the workload layer:
-// per-packet flag bytes, the forced-injection (created, dst, flags)
-// queues, per-terminal offered loads and the trace replay cursor.
+// and wormhole bindings, switch round-robin pointers, the live packets,
+// per-terminal source queues / burst budgets / ON/OFF chains, the timing
+// wheels' in-flight events, delivery counters, the routing mechanism's
+// cross-cycle state, and (v4) the workload layer: per-packet flag bytes,
+// the forced-injection (created, dst, flags) queues, per-terminal offered
+// loads and the trace replay cursor.
+//
+// A sharded stream is canonical (v6): nothing in it depends on how the
+// routers were cut into shards, so the same run saves the same bytes at
+// any worker count and restores at any other. Two things would otherwise
+// leak the partition:
+//   - packet ids, which encode the creating shard's pool slab. The live
+//     packets are renumbered densely in (injected, src) order — unique,
+//     since a terminal injects at most one packet per cycle — and a
+//     restore hands out fresh ids from its own slabs. Ids name pool slots
+//     and nothing else, so the renumbering changes no result.
+//   - the per-shard timing wheels. The stream holds one wheel triple:
+//     each slot lists the shards' events in ascending shard order, flits
+//     and credits then sorted by (router, port, vc), a key that occurs at
+//     most once per slot. A slot's deliveries need no sort: they were all
+//     staged in one cycle, shard by shard in ascending router order.
+// Exact mode has one shard and keeps its slot order and pool numbering
+// verbatim (slot layout and free-list order, so future ids replay); its
+// streams are laid out as in v5.
 //
 // What is deliberately NOT saved, because rebuilding it is decision- and
 // RNG-neutral: the retry-suppression caches (vc_sleep_until_, waiter
@@ -19,8 +34,10 @@
 // which is RNG-free by contract — the per-packet minimal-port memos, and
 // the lazily-cleared pending-terminal bits (recomputed as their minimal
 // set, which the injection loop treats identically).
+#include <algorithm>
 #include <istream>
 #include <ostream>
+#include <tuple>
 
 #include "common/serialize.hpp"
 #include "sim/engine.hpp"
@@ -137,20 +154,45 @@ void Engine::save_checkpoint(std::ostream& os) const {
   for (const auto s : phits_sent_) ser::write_u64(os, s);
   ser::write_u64(os, dead_dst_drops_);
 
-  // --- packet pool, slab by slab (slot layout + free-list order) --------
-  ser::write_u64(os, pool_.num_slabs());
+  // --- packet pool: one slab in the stream, renumbered when sharded ------
+  std::vector<PacketId> live;  // in stream order
   for (std::size_t s = 0; s < pool_.num_slabs(); ++s) {
-    const std::size_t handed_out = pool_.handed_out(s);
-    const std::vector<PacketId>& free_list = pool_.free_list(s);
-    ser::write_u64(os, handed_out);
-    ser::write_u64(os, free_list.size());
-    for (const PacketId id : free_list) ser::write_i32(os, id);
-    std::vector<std::uint8_t> live(handed_out, 1);
-    for (const PacketId id : free_list) live[pool_.index_in_slab(id)] = 0;
-    for (std::size_t n = 0; n < handed_out; ++n) {
-      if (live[n]) write_packet(os, pool_[pool_.id_at(s, n)]);
+    std::vector<std::uint8_t> is_live(pool_.handed_out(s), 1);
+    for (const PacketId id : pool_.free_list(s)) {
+      is_live[pool_.index_in_slab(id)] = 0;
+    }
+    for (std::size_t n = 0; n < is_live.size(); ++n) {
+      if (is_live[n]) live.push_back(pool_.id_at(s, n));
     }
   }
+  std::vector<PacketId> stream_id;  // pool id -> stream id (sharded mode)
+  if (sharded_ && !live.empty()) {
+    std::sort(live.begin(), live.end(), [&](PacketId a, PacketId b) {
+      return std::tie(pool_[a].injected, pool_[a].src) <
+             std::tie(pool_[b].injected, pool_[b].src);
+    });
+    stream_id.assign(
+        static_cast<std::size_t>(*std::max_element(live.begin(), live.end())) +
+            1,
+        kInvalid);
+    for (std::size_t n = 0; n < live.size(); ++n) {
+      stream_id[static_cast<std::size_t>(live[n])] = static_cast<PacketId>(n);
+    }
+  }
+  const auto sid = [&](PacketId id) {
+    return sharded_ && id != kInvalid ? stream_id[static_cast<std::size_t>(id)]
+                                      : id;
+  };
+  ser::write_u64(os, 1);  // slab count
+  if (sharded_) {
+    ser::write_u64(os, live.size());
+    ser::write_u64(os, 0);  // dense: no free slots
+  } else {
+    ser::write_u64(os, pool_.handed_out(0));
+    ser::write_u64(os, pool_.free_list(0).size());
+    for (const PacketId id : pool_.free_list(0)) ser::write_i32(os, id);
+  }
+  for (const PacketId id : live) write_packet(os, pool_[id]);
 
   // --- router state: input/output VCs, per-port scan state --------------
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
@@ -159,14 +201,17 @@ void Engine::save_checkpoint(std::ostream& os) const {
       for (VcId v = 0; v < vc_count(p); ++v) {
         const InputVc& ivc = in_vcs_[vc_index(r, p, v)];
         ser::write_u32(os, static_cast<std::uint32_t>(ivc.fifo.size()));
-        ivc.fifo.visit(slab, [&](const Flit& f) { write_flit(os, f); });
+        ivc.fifo.visit(slab, [&](Flit f) {
+          f.packet = sid(f.packet);
+          write_flit(os, f);
+        });
         ser::write_i32(os, ivc.occupancy_phits);
         ser::write_i32(os, ivc.bound_out_port);
         ser::write_i32(os, ivc.bound_out_vc);
         ser::write_u64(os, ivc.head_since);
         const OutputVc& ovc = out_vcs_[vc_index(r, p, v)];
         ser::write_i32(os, ovc.credits_phits);
-        ser::write_i32(os, ovc.bound_packet);
+        ser::write_i32(os, sid(ovc.bound_packet));
       }
       ser::write_u64(os, out_busy_until_[port_index(r, p)]);
       ser::write_u32(os, in_scan_[port_index(r, p)]);
@@ -211,35 +256,51 @@ void Engine::save_checkpoint(std::ostream& os) const {
   ser::write_u8(os, workload_ != nullptr ? 1 : 0);
   ser::write_u64(os, workload_ != nullptr ? workload_->cursor() : 0);
 
-  // --- timing wheels -----------------------------------------------------
-  // v3: one wheel triple per shard, serialized shard-major behind the
-  // shard count. The event encodings are identical across modes; only
-  // the grouping differs. Exact mode's single shard omits the count, so
-  // its checkpoints keep the v2 single-wheel layout.
-  const auto write_wheels = [&](const SlabEventRing<FlitEvent>& fr,
-                                const SlabEventRing<CreditEvent>& cr,
-                                const SlabEventRing<PacketId>& dr) {
-    for (std::size_t slot = 0; slot < ring_size_; ++slot) {
-      ser::write_u32(os, static_cast<std::uint32_t>(fr.slot_size(slot)));
-      fr.visit(slot, [&](const FlitEvent& ev) {
-        ser::write_i32(os, ev.router);
-        ser::write_i32(os, ev.port);
-        ser::write_i32(os, ev.vc);
-        write_flit(os, ev.flit);
-      });
-      ser::write_u32(os, static_cast<std::uint32_t>(cr.slot_size(slot)));
-      cr.visit(slot, [&](const CreditEvent& ev) {
-        ser::write_i32(os, ev.router);
-        ser::write_i32(os, ev.port);
-        ser::write_i32(os, ev.vc);
-      });
-      ser::write_u32(os, static_cast<std::uint32_t>(dr.slot_size(slot)));
-      dr.visit(slot, [&](const PacketId id) { ser::write_i32(os, id); });
-    }
+  // --- timing wheels: one triple, every shard's events per slot -----------
+  const auto key = [](const auto& ev) {
+    return std::tie(ev.router, ev.port, ev.vc);
   };
-  if (sharded_) ser::write_u64(os, shards_.size());
-  for (const Shard& s : shards_) {
-    write_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
+  std::vector<FlitEvent> flits;
+  std::vector<CreditEvent> credits;
+  for (std::size_t slot = 0; slot < ring_size_; ++slot) {
+    flits.clear();
+    credits.clear();
+    std::size_t deliveries = 0;
+    for (const Shard& s : shards_) {
+      s.flit_ring.visit(slot, [&](const FlitEvent& ev) { flits.push_back(ev); });
+      s.credit_ring.visit(slot,
+                          [&](const CreditEvent& ev) { credits.push_back(ev); });
+      deliveries += s.delivery_ring.slot_size(slot);
+    }
+    if (sharded_) {
+      std::stable_sort(flits.begin(), flits.end(),
+                       [&](const auto& x, const auto& y) {
+                         return key(x) < key(y);
+                       });
+      std::stable_sort(credits.begin(), credits.end(),
+                       [&](const auto& x, const auto& y) {
+                         return key(x) < key(y);
+                       });
+    }
+    ser::write_u32(os, static_cast<std::uint32_t>(flits.size()));
+    for (FlitEvent ev : flits) {
+      ser::write_i32(os, ev.router);
+      ser::write_i32(os, ev.port);
+      ser::write_i32(os, ev.vc);
+      ev.flit.packet = sid(ev.flit.packet);
+      write_flit(os, ev.flit);
+    }
+    ser::write_u32(os, static_cast<std::uint32_t>(credits.size()));
+    for (const CreditEvent& ev : credits) {
+      ser::write_i32(os, ev.router);
+      ser::write_i32(os, ev.port);
+      ser::write_i32(os, ev.vc);
+    }
+    ser::write_u32(os, static_cast<std::uint32_t>(deliveries));
+    for (const Shard& s : shards_) {
+      s.delivery_ring.visit(
+          slot, [&](const PacketId id) { ser::write_i32(os, sid(id)); });
+    }
   }
 
   // --- routing mechanism state ------------------------------------------
@@ -262,38 +323,12 @@ void Engine::restore(std::istream& is) {
         "not a dfsim engine checkpoint (bad magic bytes)");
   }
   const std::uint32_t version = ser::read_u32(is, "checkpoint version");
-  if (version == 2) {
-    // The one predecessor anyone may still hold files from gets a pointed
-    // message: v3 moved the sharded engine's in-flight events into
-    // per-shard timing wheels, so a v2 stream cannot be decoded here.
-    throw std::runtime_error(
-        "checkpoint format version 2 is not supported by this build "
-        "(version 3 stores the sharded engine's in-flight events in "
-        "per-shard timing wheels; re-run the checkpointed experiment to "
-        "produce a v3 checkpoint)");
-  }
-  if (version == 3) {
-    throw std::runtime_error(
-        "checkpoint format version 3 is not supported by this build "
-        "(version 4 adds workload state: per-packet flag bytes, the "
-        "forced-injection queues' creation times and flags, per-terminal "
-        "offered loads and the trace replay cursor; re-run the "
-        "checkpointed experiment to produce a v4 checkpoint)");
-  }
-  if (version == 4) {
-    throw std::runtime_error(
-        "checkpoint format version 4 is not supported by this build "
-        "(version 5 stores the packet pool slab by slab, one slab per "
-        "shard under the sharded engine, and drops the per-packet flit "
-        "count and flit size, the per-flit size and the per-credit phit "
-        "count, which are engine constants; re-run the checkpointed "
-        "experiment to produce a v5 checkpoint)");
-  }
   if (version != kCheckpointVersion) {
     throw std::runtime_error(
         "checkpoint format version " + std::to_string(version) +
-        " is not supported by this build (expected " +
-        std::to_string(kCheckpointVersion) + ")");
+        " is not supported; this build reads " +
+        std::to_string(kCheckpointVersion) +
+        "; re-run the checkpointed experiment");
   }
   ser::expect_u64(is, static_cast<std::uint64_t>(topo_.num_routers()),
                   "router count");
@@ -353,38 +388,70 @@ void Engine::restore(std::istream& is) {
   for (auto& s : phits_sent_) s = ser::read_u64(is, "phits sent");
   dead_dst_drops_ = ser::read_u64(is, "dead destination drops");
 
-  // --- packet pool, slab by slab ----------------------------------------
-  ser::expect_u64(is, pool_.num_slabs(), "packet-pool slab count");
-  for (std::size_t s = 0; s < pool_.num_slabs(); ++s) {
-    const std::uint64_t handed_out = ser::read_u64(is, "pool slot count");
-    const std::uint64_t free_count = ser::read_u64(is, "pool free count");
-    // Ids are 31-bit, so no slab can have handed out more than 2^31.
-    if (handed_out > (std::uint64_t{1} << 31) || free_count > handed_out) {
+  // --- packet pool -------------------------------------------------------
+  ser::expect_u64(is, 1, "packet-pool slab count");
+  const std::uint64_t handed_out = ser::read_u64(is, "pool slot count");
+  const std::uint64_t free_count = ser::read_u64(is, "pool free count");
+  // Ids are 31-bit, so no stream can number more than 2^31 slots.
+  if (handed_out > (std::uint64_t{1} << 31) || free_count > handed_out) {
+    throw std::runtime_error(
+        "checkpoint corrupt: packet-pool free list larger than the pool");
+  }
+  std::vector<PacketId> free_list(static_cast<std::size_t>(free_count));
+  std::vector<std::uint8_t> live(static_cast<std::size_t>(handed_out), 1);
+  for (auto& id : free_list) {
+    id = ser::read_i32(is, "pool free id");
+    if (id < 0 || static_cast<std::uint64_t>(id) >= handed_out) {
       throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free list larger than the pool");
+          "checkpoint corrupt: packet-pool free id out of range");
     }
-    std::vector<PacketId> free_list(static_cast<std::size_t>(free_count));
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(handed_out), 1);
-    for (auto& id : free_list) {
-      id = ser::read_i32(is, "pool free id");
-      if (id < 0 || pool_.slab_of(id) != s ||
-          pool_.index_in_slab(id) >= handed_out) {
-        throw std::runtime_error(
-            "checkpoint corrupt: packet-pool free id out of range");
-      }
-      std::uint8_t& bit = live[pool_.index_in_slab(id)];
-      if (bit == 0) {
-        throw std::runtime_error(
-            "checkpoint corrupt: packet-pool free id listed twice");
-      }
-      bit = 0;
+    std::uint8_t& bit = live[static_cast<std::size_t>(id)];
+    if (bit == 0) {
+      throw std::runtime_error(
+          "checkpoint corrupt: packet-pool free id listed twice");
     }
-    pool_.restore_slab(s, static_cast<std::size_t>(handed_out),
+    bit = 0;
+  }
+  // A one-slab pool takes the stream's numbering as is (its ids are the
+  // slot numbers). Several slabs take the packets densely numbered, each
+  // from the slab of the shard holding its source terminal, and map the
+  // stream's ids to the ones handed out.
+  std::vector<PacketId> pool_id;  // stream id -> pool id (several slabs)
+  if (pool_.num_slabs() == 1) {
+    pool_.restore_slab(0, static_cast<std::size_t>(handed_out),
                        std::move(free_list));
     for (std::size_t n = 0; n < live.size(); ++n) {
-      if (live[n]) pool_[pool_.id_at(s, n)] = read_packet(is);
+      if (live[n]) pool_[static_cast<PacketId>(n)] = read_packet(is);
+    }
+  } else {
+    if (free_count != 0) {
+      throw std::runtime_error(
+          "checkpoint corrupt: packet pool not densely numbered");
+    }
+    pool_id.resize(live.size());
+    for (PacketId& id : pool_id) {
+      const Packet pkt = read_packet(is);
+      if (pkt.src < 0 || pkt.src >= topo_.num_terminals()) {
+        throw std::runtime_error(
+            "checkpoint corrupt: packet source out of range");
+      }
+      id = pool_.alloc(shard_of(topo_.router_of_terminal(pkt.src)));
+      pool_[id] = pkt;
     }
   }
+  const auto pid = [&](PacketId id) {
+    if (id == kInvalid) return id;
+    if (id < 0 || static_cast<std::uint64_t>(id) >= handed_out) {
+      throw std::runtime_error("checkpoint corrupt: packet id out of range");
+    }
+    return pool_id.empty() ? id : pool_id[static_cast<std::size_t>(id)];
+  };
+  const auto router_shard = [&](RouterId r) -> Shard& {
+    if (r < 0 || r >= topo_.num_routers()) {
+      throw std::runtime_error("checkpoint corrupt: event router out of range");
+    }
+    return shards_[shard_of(r)];
+  };
 
   // --- router state ------------------------------------------------------
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
@@ -402,7 +469,9 @@ void Engine::restore(std::istream& is) {
               "buffer capacity");
         }
         for (std::uint32_t k = 0; k < nflits; ++k) {
-          ivc.fifo.push_back(slab, read_flit(is));
+          Flit f = read_flit(is);
+          f.packet = pid(f.packet);
+          ivc.fifo.push_back(slab, f);
         }
         ivc.occupancy_phits = ser::read_i32(is, "input VC occupancy");
         ivc.bound_out_port =
@@ -412,7 +481,7 @@ void Engine::restore(std::istream& is) {
         ivc.head_since = ser::read_u64(is, "VC head since");
         OutputVc& ovc = out_vcs_[vidx];
         ovc.credits_phits = ser::read_i32(is, "output VC credits");
-        ovc.bound_packet = ser::read_i32(is, "output VC bound packet");
+        ovc.bound_packet = pid(ser::read_i32(is, "output VC bound packet"));
       }
       out_busy_until_[port_index(r, p)] =
           ser::read_u64(is, "port busy-until");
@@ -504,43 +573,41 @@ void Engine::restore(std::istream& is) {
     }
   }
 
-  // --- timing wheels -----------------------------------------------------
-  const auto read_wheels = [&](SlabEventRing<FlitEvent>& fr,
-                               SlabEventRing<CreditEvent>& cr,
-                               SlabEventRing<PacketId>& dr) {
-    fr.reset(ring_size_);
-    cr.reset(ring_size_);
-    dr.reset(ring_size_);
-    for (std::size_t slot = 0; slot < ring_size_; ++slot) {
-      const std::uint32_t nf = ser::read_u32(is, "flit event count");
-      for (std::uint32_t k = 0; k < nf; ++k) {
-        FlitEvent ev;
-        ev.router = ser::read_i32(is, "flit event router");
-        ev.port =
-            static_cast<std::int16_t>(ser::read_i32(is, "flit event port"));
-        ev.vc = static_cast<std::int16_t>(ser::read_i32(is, "flit event vc"));
-        ev.flit = read_flit(is);
-        fr.push(slot, ev);
-      }
-      const std::uint32_t nc = ser::read_u32(is, "credit event count");
-      for (std::uint32_t k = 0; k < nc; ++k) {
-        CreditEvent ev;
-        ev.router = ser::read_i32(is, "credit event router");
-        ev.port = static_cast<std::int16_t>(
-            ser::read_i32(is, "credit event port"));
-        ev.vc =
-            static_cast<std::int16_t>(ser::read_i32(is, "credit event vc"));
-        cr.push(slot, ev);
-      }
-      const std::uint32_t nd = ser::read_u32(is, "delivery event count");
-      for (std::uint32_t k = 0; k < nd; ++k) {
-        dr.push(slot, ser::read_i32(is, "delivery event id"));
-      }
-    }
-  };
-  if (sharded_) ser::expect_u64(is, shards_.size(), "shard count");
+  // --- timing wheels: each event to the shard holding its router --------
   for (Shard& s : shards_) {
-    read_wheels(s.flit_ring, s.credit_ring, s.delivery_ring);
+    s.flit_ring.reset(ring_size_);
+    s.credit_ring.reset(ring_size_);
+    s.delivery_ring.reset(ring_size_);
+  }
+  for (std::size_t slot = 0; slot < ring_size_; ++slot) {
+    const std::uint32_t nf = ser::read_u32(is, "flit event count");
+    for (std::uint32_t k = 0; k < nf; ++k) {
+      FlitEvent ev;
+      ev.router = ser::read_i32(is, "flit event router");
+      ev.port =
+          static_cast<std::int16_t>(ser::read_i32(is, "flit event port"));
+      ev.vc = static_cast<std::int16_t>(ser::read_i32(is, "flit event vc"));
+      ev.flit = read_flit(is);
+      ev.flit.packet = pid(ev.flit.packet);
+      router_shard(ev.router).flit_ring.push(slot, ev);
+    }
+    const std::uint32_t nc = ser::read_u32(is, "credit event count");
+    for (std::uint32_t k = 0; k < nc; ++k) {
+      CreditEvent ev;
+      ev.router = ser::read_i32(is, "credit event router");
+      ev.port =
+          static_cast<std::int16_t>(ser::read_i32(is, "credit event port"));
+      ev.vc = static_cast<std::int16_t>(ser::read_i32(is, "credit event vc"));
+      router_shard(ev.router).credit_ring.push(slot, ev);
+    }
+    // Ejection happens at the destination router, so a delivery belongs
+    // to the shard holding it.
+    const std::uint32_t nd = ser::read_u32(is, "delivery event count");
+    for (std::uint32_t k = 0; k < nd; ++k) {
+      const PacketId id = pid(ser::read_i32(is, "delivery event id"));
+      router_shard(topo_.router_of_terminal(pool_[id].dst))
+          .delivery_ring.push(slot, id);
+    }
   }
 
   // --- routing mechanism state + end sentinel ----------------------------
@@ -555,17 +622,24 @@ void Engine::restore(std::istream& is) {
   // Retry-suppression caches restart cold: waking a provably-blocked head
   // redoes a usability check that fails identically and draws nothing, so
   // this is bit-identical to carrying the caches over.
-  std::fill(vc_sleep_until_.begin(), vc_sleep_until_.end(), 0);
-  std::fill(port_wake_.begin(), port_wake_.end(), 0);
-  std::fill(head_hop_.begin(), head_hop_.end(), kHeadUnknown);
-  std::fill(ovc_waiter_head_.begin(), ovc_waiter_head_.end(), -1);
-  std::fill(vc_waiter_next_.begin(), vc_waiter_next_.end(), kNotWaiting);
+  const std::size_t num_ports =
+      static_cast<std::size_t>(topo_.num_routers()) *
+      static_cast<std::size_t>(ports_);
+  const std::size_t num_vcs = num_ports * static_cast<std::size_t>(vc_stride_);
+  std::fill_n(vc_sleep_until_, num_vcs, 0);
+  std::fill_n(port_wake_, num_ports, 0);
+  std::fill_n(head_hop_, num_vcs, kHeadUnknown);
+  std::fill_n(ovc_waiter_head_, num_vcs, -1);
+  std::fill_n(vc_waiter_next_, num_vcs, kNotWaiting);
 
   // Worklists: recompute the minimal consistent sets. A stale (lazily
   // cleared) bit's only effect was a skip-and-clear scan, so dropping it
   // changes no decision.
-  std::fill(occupied_ports_.begin(), occupied_ports_.end(), 0);
-  std::fill(nonempty_vcs_.begin(), nonempty_vcs_.end(), 0);
+  std::fill_n(occupied_ports_,
+              static_cast<std::size_t>(topo_.num_routers()) *
+                  static_cast<std::size_t>(occ_words_),
+              0);
+  std::fill_n(nonempty_vcs_, topo_.num_routers(), 0);
   for (RouterId r = 0; r < topo_.num_routers(); ++r) {
     for (PortId p = 0; p < ports_; ++p) {
       if ((in_scan_[port_index(r, p)] >> 16) != 0) {

@@ -1,11 +1,13 @@
 // The stepper: shards, the four-phase cycle, and the worker team.
 //
-// Routers are partitioned into shards: shard s owns routers
-// [s*n, (s+1)*n) and their terminals, AND its own flit/credit/delivery
-// timing wheels — every event addressed to a router in s lives in s's
-// rings. Sharded mode (EngineConfig::sharded) cuts one shard per group;
-// exact mode is the one-shard case, a single shard covering every router.
-// A cycle runs as
+// Routers are partitioned into shards: each shard owns a contiguous range
+// of whole groups — their routers and terminals — AND its own
+// flit/credit/delivery timing wheels: every event addressed to a router in
+// the shard lives in its rings. Sharded mode (EngineConfig::sharded) cuts
+// W = min(shard workers, groups) ranges, as even as the group count
+// allows (129 groups over 4 workers: 32, 32, 32, 33), and barrier-team
+// worker w runs shard w in every phase of every cycle. Exact mode is the
+// one-shard case, and so is sharded mode at one worker. A cycle runs as
 //
 //   1. parallel — each shard drains this cycle's slot of its own credit
 //                 and flit rings (arrival bookkeeping, own routers only)
@@ -22,22 +24,27 @@
 //
 // The serial work per cycle is O(cross-shard events + shards), not
 // O(all events + shards): intra-shard traffic — all local and terminal
-// links, the bulk of every cycle — never leaves its shard. With exact
-// mode's single shard the outboxes stay empty, and "parallel" means the
-// calling thread runs the one shard.
+// links and the global links inside a range, the bulk of every cycle —
+// never leaves its shard. With a single shard the outboxes stay empty,
+// and "parallel" means the calling thread runs the one shard.
 //
 // The modes differ only where randomness comes from and in the injection
 // loop. Exact mode draws every routing decision and generation coin from
 // the engine's single stream, in ascending router/terminal order — its
 // historical contract. Sharded mode must be deterministic for ANY worker
-// count: the partition is a pure function of the topology, the parallel
+// count, although the worker count sets the partition: the parallel
 // phases touch only owner-shard state and draw from counter-based RNG
-// streams keyed by (seed, cycle, entity), and each shard's ring contents
-// are a pure function of that shard's deterministic staging order plus
-// the ascending-shard outbox replay. Event order *within* one ring slot
-// is arrival-bookkeeping-neutral (at most one flit per input port per
-// cycle — upstream links serialize — and credit application commutes),
-// so results are bit-identical across jobs=1..N. They are NOT
+// streams keyed by (seed, cycle, entity), never by shard. What the
+// partition does change reaches no result:
+//   - event order within one ring slot: arrival bookkeeping is
+//     order-neutral (at most one flit per input port per cycle — upstream
+//     links serialize — and credit application commutes);
+//   - deliveries, hop and generation hooks: replayed shard by shard, each
+//     shard in ascending router/terminal order, so their concatenation is
+//     the same global ascending order for every contiguous partition;
+//   - packet ids: they name pool slots and nothing else (checkpoints
+//     renumber them, see engine_checkpoint.cpp).
+// So results are bit-identical across jobs=1..N. They are NOT
 // bit-compatible with exact mode, whose single shared RNG cursor implies
 // a different draw sequence.
 #include <cassert>
@@ -95,15 +102,18 @@ Engine::~Engine() {
 void Engine::init_shards() {
   sharded_ = cfg_.sharded;
   profile_ = sharded_ && (cfg_.profile || env_flag("DF_PROFILE"));
-  routers_per_shard_ =
-      sharded_ ? topo_.routers_per_group() : topo_.num_routers();
-  const int num_shards = topo_.num_routers() / routers_per_shard_;
+  // Exact mode never needs the worker count (whose default lookup can
+  // read sysfs).
+  const int groups = topo_.num_groups();
+  const int num_shards =
+      sharded_ ? std::min(runtime::resolve_jobs(cfg_.shard_jobs), groups) : 1;
+  const int a = topo_.routers_per_group();
   shards_.resize(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     sh.index = static_cast<std::size_t>(s);
-    sh.first_router = s * routers_per_shard_;
-    sh.end_router = (s + 1) * routers_per_shard_;
+    sh.first_router = s * groups / num_shards * a;
+    sh.end_router = (s + 1) * groups / num_shards * a;
     sh.first_terminal = sh.first_router * terminals_per_router_;
     sh.end_terminal = sh.end_router * terminals_per_router_;
     sh.scratch.out_first_nom.assign(static_cast<size_t>(ports_), -1);
@@ -114,28 +124,14 @@ void Engine::init_shards() {
   // One pool slab per shard: phase 3 creates packets concurrently, each
   // shard from its own slab (see PacketPool).
   pool_.reset(shards_.size());
-  // A single shard runs on the calling thread; only a partition needs
-  // the worker count (whose default lookup can read sysfs).
-  shard_workers_ =
-      num_shards == 1
-          ? 1
-          : std::min(runtime::resolve_jobs(cfg_.shard_jobs), num_shards);
-  if (shard_workers_ > 1) {
+  if (num_shards > 1) {
+    // Worker w runs shard w in every phase, so a shard's state stays in
+    // one worker's cache. The phases touch disjoint state, so the
+    // assignment affects only locality, never results.
     shard_team_ = std::make_unique<runtime::BarrierTeam>(
-        shard_workers_, [this](int w) { shard_worker(w); });
-  }
-}
-
-// The fixed per-worker callback the barrier team runs each phase. Block
-// assignment keeps shard w's state in the same worker's cache for both
-// phases of every cycle. The phases touch disjoint state, so assignment
-// affects only locality, never results.
-void Engine::shard_worker(int w) {
-  const std::size_t n = shards_.size();
-  const auto W = static_cast<std::size_t>(shard_workers_);
-  const auto uw = static_cast<std::size_t>(w);
-  for (std::size_t i = n * uw / W; i < n * (uw + 1) / W; ++i) {
-    (this->*shard_phase_)(shards_[i]);
+        num_shards, [this](int w) {
+          (this->*shard_phase_)(shards_[static_cast<std::size_t>(w)]);
+        });
   }
 }
 

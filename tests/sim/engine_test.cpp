@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <sstream>
@@ -371,10 +372,14 @@ std::uint64_t checkpoint_digest_at_700(const std::string& routing_name,
   return fnv1a(os.str());
 }
 
+// Checkpoint format v6. The exact-mode streams differ from their v5
+// predecessors (digests 0x8168eb35de8f3a37 and 0x733d355e7434ec4e) in the
+// version word only; the sharded stream is canonical, so its digest is
+// the same at every worker count.
 TEST(EnginePins, ExactVctOlmCheckpointDigest) {
   EngineConfig ec = small_vct();
   ec.seed = 11;
-  EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0x8168eb35de8f3a37ULL);
+  EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0xade11cc7a7d06bf6ULL);
 }
 
 TEST(EnginePins, ExactWormholeRlmCheckpointDigest) {
@@ -383,15 +388,18 @@ TEST(EnginePins, ExactWormholeRlmCheckpointDigest) {
   ec.packet_phits = 80;
   ec.flit_phits = 10;
   ec.seed = 11;
-  EXPECT_EQ(checkpoint_digest_at_700("rlm", ec), 0x733d355e7434ec4eULL);
+  EXPECT_EQ(checkpoint_digest_at_700("rlm", ec), 0x879c00f727a5c4c7ULL);
 }
 
 TEST(EnginePins, ShardedVctOlmCheckpointDigest) {
   EngineConfig ec = small_vct();
   ec.seed = 11;
   ec.sharded = true;
-  ec.shard_jobs = 2;
-  EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0xfc22e614b0ee95c1ULL);
+  for (const int jobs : {1, 2, 4}) {
+    SCOPED_TRACE(jobs);
+    ec.shard_jobs = jobs;
+    EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0xce4af977e50e8190ULL);
+  }
 }
 
 // Hop hooks are staged during allocation and replayed at the end of the
@@ -427,6 +435,56 @@ TEST(Engine, HopHookPhitsMatchPhitsSentEveryStep) {
     }
     EXPECT_GT(engine.phits_sent(PortClass::kGlobal), 0u);
   }
+}
+
+// --- repeated construction --------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DFSIM_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DFSIM_TEST_SANITIZED 1
+#endif
+#endif
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// A process that builds engine after engine (a sweep, a benchmark's
+// setup timing) should reuse the pages the last engine faulted in rather
+// than fault its whole state in again. At h=6 the per-VC and per-port
+// arrays are ~4 MB; as a dozen separate arrays, glibc trimmed them off the
+// heap top at every destruction and each build re-faulted ~1000 pages.
+// One state block keeps the trim threshold above the state's size.
+TEST(EngineState, RepeatBuildsReuseTheirPages) {
+#if defined(DFSIM_TEST_SANITIZED) || !defined(__GLIBC__)
+  GTEST_SKIP() << "measures glibc malloc's page reuse";
+#else
+  DragonflyTopology topo(6);
+  auto routing = make_routing("minimal", topo, {});
+  UniformPattern pattern(topo);
+  for (const int workers : {0, 1, 4}) {  // 0: exact mode
+    SCOPED_TRACE(workers);
+    EngineConfig ec;
+    ec.sharded = workers > 0;
+    ec.shard_jobs = workers;
+    long faults = 0;
+    std::size_t state_pages = 0;
+    for (int build = 0; build < 3; ++build) {
+      const long before = minor_faults();
+      Engine engine(topo, ec, *routing, pattern, {});
+      faults = minor_faults() - before;
+      state_pages = engine.footprint_bytes() / 4096;
+    }
+    ASSERT_GT(state_pages, 900u);
+    EXPECT_LT(static_cast<std::size_t>(faults), state_pages / 20)
+        << "the third build faulted " << faults << " of " << state_pages
+        << " state pages in afresh";
+  }
+#endif
 }
 
 }  // namespace

@@ -183,10 +183,10 @@ struct ShardedNet {
 };
 
 TEST(EngineFootprint, CountsPerShardSlabsAndFreeLists) {
-  ShardedNet net(2, 1, 0.6);
+  // Four workers cut h=2's nine groups into four shards (2, 2, 2, 3).
+  ShardedNet net(2, 4, 0.6);
   const PacketPool& pool = net.engine.packet_pool();
-  EXPECT_EQ(pool.num_slabs(),
-            static_cast<std::size_t>(net.topo.num_groups()));
+  EXPECT_EQ(pool.num_slabs(), 4u);
   const std::size_t before = net.engine.footprint_bytes();
   const std::size_t pool_before = pool.footprint_bytes();
   net.engine.run_until(600);
@@ -211,9 +211,9 @@ TEST(EngineFootprint, CountsPerShardSlabsAndFreeLists) {
 }
 
 TEST(EngineFootprint, CountsEveryFlitSlab) {
-  // The input-VC flits live in one slab per shard (one in exact mode);
-  // the engine total must grow by at least what the slabs and the pool
-  // took on.
+  // The input-VC flits live in one slab per shard (one per worker in
+  // sharded mode, one in exact mode); the engine total must grow by at
+  // least what the slabs and the pool took on.
   for (const bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "exact");
     DragonflyTopology topo(2);
@@ -221,10 +221,9 @@ TEST(EngineFootprint, CountsEveryFlitSlab) {
     UniformPattern pattern(topo);
     EngineConfig ec;
     ec.sharded = sharded;
-    ec.shard_jobs = 2;
+    ec.shard_jobs = 4;
     Engine engine(topo, ec, *routing, pattern, ShardedNet::injection(0.8));
-    ASSERT_EQ(engine.num_flit_slabs(),
-              sharded ? static_cast<std::size_t>(topo.num_groups()) : 1u);
+    ASSERT_EQ(engine.num_flit_slabs(), sharded ? 4u : 1u);
     const std::size_t before = engine.footprint_bytes();
     const std::size_t pool_before = engine.packet_pool().footprint_bytes();
     std::size_t slabs_before = 0;

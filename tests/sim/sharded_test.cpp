@@ -1,14 +1,16 @@
 // The sharded engine's determinism contract: results are a function of
-// (config, seed) only — never of the worker count. jobs=1 and jobs=N must
+// (config, seed) only — never of the worker count, although the worker
+// count sets how the groups are cut into shards. jobs=1 and jobs=N must
 // produce bit-identical results for every run shape (steady, phased,
-// faulted, ON/OFF), checkpoints cut under the sharded engine must resume
-// bit-identically, and the sharded engine must agree with the exact
+// faulted, ON/OFF), checkpoints cut under the sharded engine must be the
+// same bytes at every worker count and resume bit-identically at any, and the sharded engine must agree with the exact
 // engine statistically (same network, same offered load — only the
 // RNG-stream assignment differs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -251,9 +253,10 @@ TEST(ShardedCheckpoint, KilledRunResumesToByteIdenticalEnd) {
 TEST(ShardedCheckpoint, ParallelPacketCreationMatchesSerial) {
   // Phase 3 creates packets on every worker at once, each shard from its
   // own pool slab, and grows the slabs' chunks concurrently. At a
-  // saturating load on 4 workers the slabs must end up exactly as a
-  // single worker leaves them (the tsan job runs this case).
-  DragonflyTopology topo(3);  // 19 shards over 4 workers
+  // saturating load on 4 workers every slab must grow, and the saved
+  // state must be exactly what a single worker saves (the tsan job runs
+  // this case).
+  DragonflyTopology topo(3);  // 19 groups: shards of 4, 5, 5, 5 at 4 workers
   UniformPattern pattern(topo);
   InjectionProcess inj;
   inj.load = 1.0;
@@ -266,12 +269,12 @@ TEST(ShardedCheckpoint, ParallelPacketCreationMatchesSerial) {
     engine.run_until(500);
     EXPECT_FALSE(engine.deadlock_detected());
     const PacketPool& pool = engine.packet_pool();
-    EXPECT_EQ(pool.num_slabs(), static_cast<std::size_t>(topo.num_groups()));
+    EXPECT_EQ(pool.num_slabs(), static_cast<std::size_t>(jobs));
     int multi_chunk = 0;
     for (std::size_t s = 0; s < pool.num_slabs(); ++s) {
       if (pool.handed_out(s) > PacketPool::kChunkPackets) ++multi_chunk;
     }
-    EXPECT_GT(multi_chunk, 1) << "slabs must grow during the parallel phase";
+    EXPECT_EQ(multi_chunk, jobs) << "slabs must grow during the parallel phase";
     std::stringstream snap;
     engine.save_checkpoint(snap);
     return snap.str();
@@ -283,13 +286,16 @@ TEST(ShardedCheckpoint, SaturatedFlitSlabsMatchSerial) {
   // Arrivals (phase 1) and sends (phase 3) push and pop flits through
   // each shard's own flit slab on 4 workers at once. At load 1.0 the
   // global VCs fill to several chunks and the slabs grow and recycle
-  // chunks every cycle; buffer contents, slab growth and the checkpoint
-  // must match a single worker exactly (the tsan job runs this case).
+  // chunks every cycle; buffer contents, the chunks the VCs hold and the
+  // checkpoint must match a single worker exactly (the tsan job runs this
+  // case). How many chunks each slab has allocated depends on how the
+  // VCs are grouped into slabs, so only the chunks in use are compared.
   DragonflyTopology topo(3);
   UniformPattern pattern(topo);
   InjectionProcess inj;
   inj.load = 1.0;
-  const auto run = [&](int jobs, std::vector<std::size_t>* chunks) {
+  const auto run = [&](int jobs, std::size_t* held,
+                       std::size_t* largest_slab) {
     EngineConfig ec;
     ec.sharded = true;
     ec.shard_jobs = jobs;
@@ -297,25 +303,23 @@ TEST(ShardedCheckpoint, SaturatedFlitSlabsMatchSerial) {
     Engine engine(topo, ec, *routing, pattern, inj);
     engine.run_until(800);
     EXPECT_FALSE(engine.deadlock_detected());
-    EXPECT_EQ(engine.num_flit_slabs(),
-              static_cast<std::size_t>(topo.num_groups()));
-    std::size_t held = 0;
+    EXPECT_EQ(engine.num_flit_slabs(), static_cast<std::size_t>(jobs));
     for (std::size_t s = 0; s < engine.num_flit_slabs(); ++s) {
-      chunks->push_back(engine.flit_slab(s).num_chunks());
-      held += engine.flit_slab(s).chunks_in_use();
+      *held += engine.flit_slab(s).chunks_in_use();
+      *largest_slab =
+          std::max(*largest_slab, engine.flit_slab(s).num_chunks());
     }
-    EXPECT_GT(held, 0u) << "saturated buffers must hold flits";
     std::stringstream snap;
     engine.save_checkpoint(snap);
     return snap.str();
   };
-  std::vector<std::size_t> serial_chunks;
-  std::vector<std::size_t> parallel_chunks;
-  const std::string serial = run(1, &serial_chunks);
-  EXPECT_EQ(serial, run(4, &parallel_chunks));
-  EXPECT_EQ(serial_chunks, parallel_chunks);
-  EXPECT_GT(*std::max_element(serial_chunks.begin(), serial_chunks.end()),
-            16u)
+  std::size_t serial_held = 0, parallel_held = 0;
+  std::size_t serial_largest = 0, parallel_largest = 0;
+  const std::string serial = run(1, &serial_held, &serial_largest);
+  EXPECT_EQ(serial, run(4, &parallel_held, &parallel_largest));
+  EXPECT_GT(serial_held, 0u) << "saturated buffers must hold flits";
+  EXPECT_EQ(serial_held, parallel_held);
+  EXPECT_GT(parallel_largest, 16u)
       << "some slab must grow past its first block";
 }
 
@@ -337,92 +341,43 @@ TEST(ShardedCheckpoint, EngineModeMismatchIsRejected) {
   }
 }
 
-TEST(ShardedCheckpoint, VersionTwoRejectedPointedly) {
-  // v3 moved the in-flight events from one global wheel triple to one
-  // triple per shard. A v2 stream must fail with a message that says so,
-  // not be misparsed as shard 0's wheels.
-  const SimConfig cfg = sharded_config();
-  JobsGuard guard(1);
-  SimulationRun run = SimulationRun::steady(cfg);
-  run.advance(700);
-  std::stringstream snap;
-  run.save_checkpoint(snap);
-  std::string bytes = snap.str();
+// Every older engine section fails with one message naming the version
+// it holds and the one this build reads, never a misparse further in.
+class CheckpointVersion : public ::testing::TestWithParam<std::uint32_t> {};
 
+TEST_P(CheckpointVersion, OlderStreamRejectedPointedly) {
+  const std::uint32_t version = GetParam();
+  std::string bytes = checkpoint_after(sharded_config(), 1, 700);
   // The engine section starts with its own magic; the version u32 sits in
   // the 4 bytes right after it (little-endian).
   const std::size_t eng = bytes.find("DFENGCK\n");
   ASSERT_NE(eng, std::string::npos);
-  bytes[eng + 8] = 2;
-  bytes[eng + 9] = 0;
-  bytes[eng + 10] = 0;
-  bytes[eng + 11] = 0;
-
-  SimulationRun fresh = SimulationRun::steady(cfg);
-  std::istringstream is(bytes);
-  try {
-    fresh.restore(is);
-    FAIL() << "restore() accepted a version-2 engine section";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("version 2"), std::string::npos) << msg;
+  for (int b = 0; b < 4; ++b) {
+    bytes[eng + 8 + static_cast<std::size_t>(b)] =
+        static_cast<char>((version >> (8 * b)) & 0xffu);
   }
-}
-
-TEST(ShardedCheckpoint, VersionThreeRejectedPointedly) {
-  // v4 appended workload state (packet flag bytes, forced-queue creation
-  // times/flags, per-terminal loads, the trace cursor). A v3 stream must
-  // fail with a message naming that, not be misparsed mid-packet.
-  const SimConfig cfg = sharded_config();
-  JobsGuard guard(1);
-  SimulationRun run = SimulationRun::steady(cfg);
-  run.advance(700);
-  std::stringstream snap;
-  run.save_checkpoint(snap);
-  std::string bytes = snap.str();
-
-  const std::size_t eng = bytes.find("DFENGCK\n");
-  ASSERT_NE(eng, std::string::npos);
-  bytes[eng + 8] = 3;
-  bytes[eng + 9] = 0;
-  bytes[eng + 10] = 0;
-  bytes[eng + 11] = 0;
-
-  SimulationRun fresh = SimulationRun::steady(cfg);
-  std::istringstream is(bytes);
-  try {
-    fresh.restore(is);
-    FAIL() << "restore() accepted a version-3 engine section";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("version 3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("workload"), std::string::npos) << msg;
-  }
-}
-
-TEST(ShardedCheckpoint, VersionFourRejectedPointedly) {
-  // v5 saves the packet pool slab by slab and drops the flit/credit size
-  // fields. A v4 stream must fail with a message naming that, not be
-  // misparsed as one slab.
-  std::string bytes = checkpoint_after(sharded_config(), 1, 700);
-  const std::size_t eng = bytes.find("DFENGCK\n");
-  ASSERT_NE(eng, std::string::npos);
-  bytes[eng + 8] = 4;
-  bytes[eng + 9] = 0;
-  bytes[eng + 10] = 0;
-  bytes[eng + 11] = 0;
 
   SimulationRun fresh = SimulationRun::steady(sharded_config());
   std::istringstream is(bytes);
   try {
     fresh.restore(is);
-    FAIL() << "restore() accepted a version-4 engine section";
+    FAIL() << "restore() accepted a version-" << version << " engine section";
   } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("version 4"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("slab"), std::string::npos) << msg;
+    const std::string expected =
+        "checkpoint format version " + std::to_string(version) +
+        " is not supported; this build reads " +
+        std::to_string(Engine::kCheckpointVersion) +
+        "; re-run the checkpointed experiment";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardedCheckpoint, CheckpointVersion, ::testing::Values(2u, 3u, 4u, 5u),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return "v" + std::to_string(info.param);
+    });
 
 TEST(ShardedCheckpoint, WorkloadMidRunCutResumesBitIdentically) {
   SimConfig cfg = sharded_config();
@@ -449,6 +404,66 @@ TEST(ShardedCheckpoint, WorkloadMidRunCutResumesBitIdentically) {
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_EQ(a.per_job[j].delivered, b.per_job[j].delivered);
     EXPECT_EQ(a.per_job[j].avg_latency, b.per_job[j].avg_latency);
+  }
+}
+
+TEST(ShardedCheckpoint, ResumesAtAnotherWorkerCount) {
+  // The stream holds no trace of the partition: a run cut at 4 workers
+  // and resumed at 2 ends exactly where an uninterrupted single-worker
+  // run ends, results and final checkpoint bytes alike.
+  for (const SimConfig& cfg : {sharded_config(), unbalanced_config()}) {
+    SCOPED_TRACE(cfg.topo.empty() ? "h=2" : cfg.topo);
+    SteadyResult reference;
+    std::stringstream end_ref;
+    {
+      JobsGuard guard(1);
+      SimulationRun run = SimulationRun::steady(cfg);
+      run.run_to_completion();
+      reference = run.steady_result();
+      run.save_checkpoint(end_ref);
+    }
+    std::stringstream snap;
+    {
+      JobsGuard guard(4);
+      SimulationRun killed = SimulationRun::steady(cfg);
+      killed.advance(900);
+      killed.save_checkpoint(snap);
+    }
+    JobsGuard guard(2);
+    SimulationRun resumed = SimulationRun::steady(cfg);
+    resumed.restore(snap);
+    resumed.run_to_completion();
+    std::stringstream end_resumed;
+    resumed.save_checkpoint(end_resumed);
+
+    expect_same_steady(reference, resumed.steady_result());
+    EXPECT_EQ(end_ref.str(), end_resumed.str());
+  }
+}
+
+// --- the partition --------------------------------------------------------
+
+TEST(ShardedPartition, EveryWorkerCountGivesTheSameRun) {
+  // W workers cut the groups into W contiguous ranges, so each worker
+  // count is a different partition: p2a6h3g8's 8 groups split 8, 4+4,
+  // 2+3+3 and 2+2+2+2; h=2's 9 groups with one dead group split 9, 4+5,
+  // 3+3+3 and 2+2+2+3. Results (every double compared exactly) and the
+  // checkpoint bytes must not see the cut.
+  SimConfig unbalanced = unbalanced_config();
+  unbalanced.routing = "olm";
+  SimConfig faulted = sharded_config();
+  faulted.routing = "olm";
+  faulted.fault_spec = "r:4,r:5,r:6,r:7";  // group 1, whole
+  for (const SimConfig& cfg : {unbalanced, faulted}) {
+    SCOPED_TRACE(cfg.topo.empty() ? "h=2 faulted" : cfg.topo);
+    const SteadyResult one = steady_with_jobs(cfg, 1);
+    const std::string one_snap = checkpoint_after(cfg, 1, 700);
+    EXPECT_GT(one.delivered, 0u);
+    for (const int jobs : {2, 3, 4}) {
+      SCOPED_TRACE(jobs);
+      expect_same_steady(one, steady_with_jobs(cfg, jobs));
+      EXPECT_EQ(one_snap, checkpoint_after(cfg, jobs, 700));
+    }
   }
 }
 
