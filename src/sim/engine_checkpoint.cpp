@@ -171,10 +171,9 @@ void Engine::save_checkpoint(std::ostream& os) const {
       return std::tie(pool_[a].injected, pool_[a].src) <
              std::tie(pool_[b].injected, pool_[b].src);
     });
-    stream_id.assign(
-        static_cast<std::size_t>(*std::max_element(live.begin(), live.end())) +
-            1,
-        kInvalid);
+    const auto max_id =
+        static_cast<std::size_t>(*std::max_element(live.begin(), live.end()));
+    stream_id.assign(max_id + 1, kInvalid);
     for (std::size_t n = 0; n < live.size(); ++n) {
       stream_id[static_cast<std::size_t>(live[n])] = static_cast<PacketId>(n);
     }
@@ -257,8 +256,8 @@ void Engine::save_checkpoint(std::ostream& os) const {
   ser::write_u64(os, workload_ != nullptr ? workload_->cursor() : 0);
 
   // --- timing wheels: one triple, every shard's events per slot -----------
-  const auto key = [](const auto& ev) {
-    return std::tie(ev.router, ev.port, ev.vc);
+  const auto by_key = [](const auto& x, const auto& y) {
+    return std::tie(x.router, x.port, x.vc) < std::tie(y.router, y.port, y.vc);
   };
   std::vector<FlitEvent> flits;
   std::vector<CreditEvent> credits;
@@ -267,20 +266,15 @@ void Engine::save_checkpoint(std::ostream& os) const {
     credits.clear();
     std::size_t deliveries = 0;
     for (const Shard& s : shards_) {
-      s.flit_ring.visit(slot, [&](const FlitEvent& ev) { flits.push_back(ev); });
-      s.credit_ring.visit(slot,
-                          [&](const CreditEvent& ev) { credits.push_back(ev); });
+      s.flit_ring.visit(slot,
+                        [&](const FlitEvent& ev) { flits.push_back(ev); });
+      s.credit_ring.visit(
+          slot, [&](const CreditEvent& ev) { credits.push_back(ev); });
       deliveries += s.delivery_ring.slot_size(slot);
     }
     if (sharded_) {
-      std::stable_sort(flits.begin(), flits.end(),
-                       [&](const auto& x, const auto& y) {
-                         return key(x) < key(y);
-                       });
-      std::stable_sort(credits.begin(), credits.end(),
-                       [&](const auto& x, const auto& y) {
-                         return key(x) < key(y);
-                       });
+      std::stable_sort(flits.begin(), flits.end(), by_key);
+      std::stable_sort(credits.begin(), credits.end(), by_key);
     }
     ser::write_u32(os, static_cast<std::uint32_t>(flits.size()));
     for (FlitEvent ev : flits) {

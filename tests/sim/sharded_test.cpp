@@ -3,9 +3,10 @@
 // count sets how the groups are cut into shards. jobs=1 and jobs=N must
 // produce bit-identical results for every run shape (steady, phased,
 // faulted, ON/OFF), checkpoints cut under the sharded engine must be the
-// same bytes at every worker count and resume bit-identically at any, and the sharded engine must agree with the exact
-// engine statistically (same network, same offered load — only the
-// RNG-stream assignment differs).
+// same bytes at every worker count and resume bit-identically at any,
+// and the sharded engine must agree with the exact engine statistically
+// (same network, same offered load — only the RNG-stream assignment
+// differs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
