@@ -647,14 +647,13 @@ class Engine {
 
   // Flat router state, indexed via port_index()/vc_index(). Every array
   // from here to nonempty_vcs_ is carved from state_block_ (see
-  // allocate_state): one allocation instead of thirteen. That lets a
-  // process that builds engine after engine reuse the pages the last one
-  // faulted in: glibc trims the heap top once it holds more free memory
-  // than twice the largest block freed so far, and with separate arrays
-  // that bound sat below the state they summed to, so every build
-  // faulted its whole state in afresh.
-  std::unique_ptr<std::byte[]> state_block_;
-  std::size_t state_bytes_ = 0;
+  // allocate_state): one mapping instead of thirteen heap arrays, handed
+  // on to the next engine of the same shape when this one is destroyed.
+  struct StateBlockRelease {
+    std::size_t bytes;
+    void operator()(std::byte* block) const;
+  };
+  std::unique_ptr<std::byte, StateBlockRelease> state_block_;
   void allocate_state();
   InputVc* in_vcs_ = nullptr;
   OutputVc* out_vcs_ = nullptr;
