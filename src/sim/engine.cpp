@@ -10,6 +10,7 @@
 #include <new>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 // Complete BarrierTeam type: the constructor's exception cleanup destroys
 // the shard_team_ member.
@@ -46,23 +47,20 @@ struct SpareStateBlock {
   std::size_t bytes = 0;
 };
 
-SpareStateBlock& spare_state_block() {
+/// Puts (block, bytes) in the spare slot; returns what the slot held.
+std::pair<std::byte*, std::size_t> exchange_spare(std::byte* block,
+                                                  std::size_t bytes) {
   // Never destroyed: an engine may be released during static destruction.
   static auto* spare = new SpareStateBlock;
-  return *spare;
+  const std::lock_guard<std::mutex> lock(spare->mu);
+  return {std::exchange(spare->block, block),
+          std::exchange(spare->bytes, bytes)};
 }
 
 std::byte* acquire_state_block(std::size_t bytes) {
-  SpareStateBlock& spare = spare_state_block();
-  std::byte* stale = nullptr;
-  std::size_t stale_bytes = 0;
-  {
-    const std::lock_guard<std::mutex> lock(spare.mu);
-    std::swap(stale, spare.block);
-    std::swap(stale_bytes, spare.bytes);
-  }
-  if (stale != nullptr && stale_bytes == bytes) return stale;
-  if (stale != nullptr) ::munmap(stale, stale_bytes);
+  const auto [spare, spare_bytes] = exchange_spare(nullptr, 0);
+  if (spare != nullptr && spare_bytes == bytes) return spare;
+  if (spare != nullptr) ::munmap(spare, spare_bytes);
   void* block = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (block == MAP_FAILED) throw std::bad_alloc();
@@ -71,14 +69,7 @@ std::byte* acquire_state_block(std::size_t bytes) {
 }  // namespace
 
 void Engine::StateBlockRelease::operator()(std::byte* block) const {
-  SpareStateBlock& spare = spare_state_block();
-  std::byte* stale = block;
-  std::size_t stale_bytes = bytes;
-  {
-    const std::lock_guard<std::mutex> lock(spare.mu);
-    std::swap(stale, spare.block);
-    std::swap(stale_bytes, spare.bytes);
-  }
+  const auto [stale, stale_bytes] = exchange_spare(block, bytes);
   if (stale != nullptr) ::munmap(stale, stale_bytes);
 }
 

@@ -456,9 +456,9 @@ long minor_faults() {
 // A process that builds engine after engine (a sweep, a benchmark's
 // setup timing) should reuse the pages the last engine faulted in rather
 // than fault its whole state in again. At h=6 the per-VC and per-port
-// arrays are ~4 MB; as a dozen separate arrays, glibc trimmed them off the
-// heap top at every destruction and each build re-faulted ~1000 pages.
-// One state block keeps the trim threshold above the state's size.
+// arrays are ~4 MB; as a dozen separate heap arrays they were trimmed off
+// the heap top at every destruction and each build re-faulted ~1000
+// pages. Now they share one block that the next engine takes over.
 TEST(EngineState, RepeatBuildsReuseTheirPages) {
 #if defined(DFSIM_TEST_SANITIZED) || !defined(__GLIBC__)
   GTEST_SKIP() << "measures glibc malloc's page reuse";
