@@ -39,9 +39,10 @@
 //   - event order within one ring slot: arrival bookkeeping is
 //     order-neutral (at most one flit per input port per cycle — upstream
 //     links serialize — and credit application commutes);
-//   - deliveries, hop and generation hooks: replayed shard by shard, each
-//     shard in ascending router/terminal order, so their concatenation is
-//     the same global ascending order for every contiguous partition;
+//   - deliveries, hop hooks and generation hooks: each kind replays shard
+//     by shard, each shard in ascending router/terminal order, so its
+//     concatenation is the same global order for every contiguous
+//     partition (generation hooks after all hop hooks);
 //   - packet ids: they name pool slots and nothing else (checkpoints
 //     renumber them, see engine_checkpoint.cpp).
 // So results are bit-identical across jobs=1..N. They are NOT
@@ -189,8 +190,17 @@ bool Engine::step_impl() {
   if constexpr (kProfile) t3 = profile_now_ns();
 
   // Phase 4 (serial): apply the staged cross-shard effects in ascending
-  // shard order.
+  // shard order. Generation hooks replay after every shard's hop hooks,
+  // so the two kinds interleave the same way under every partition.
   for (Shard& s : shards_) flush_shard(s);
+  if (on_generated_) {
+    for (Shard& s : shards_) {
+      for (const std::uint8_t accepted : s.gen_accepted) {
+        on_generated_(now_, accepted != 0);
+      }
+      s.gen_accepted.clear();
+    }
+  }
 
   if (now_ - last_progress_ > cfg_.watchdog_cycles && pool_.in_use() > 0) {
     deadlock_ = true;
@@ -429,7 +439,7 @@ void Engine::flush_shard(Shard& s) {
   if (s.deadlock) deadlock_ = true;
   s.deadlock = false;
 
-  // User hooks replay in staging order (allocation order within the
+  // Hop hooks replay in staging order (allocation order within the
   // shard), ascending shard — a deterministic serialization.
   if (on_hop_) {
     for (const HopRecord& h : s.hops) {
@@ -438,12 +448,6 @@ void Engine::flush_shard(Shard& s) {
       on_hop_(pool_[h.packet], h.choice, h.router);
     }
     s.hops.clear();
-  }
-  if (on_generated_) {
-    for (const std::uint8_t accepted : s.gen_accepted) {
-      on_generated_(now_, accepted != 0);
-    }
-    s.gen_accepted.clear();
   }
 
   // Cross-shard events, replayed in staging order. Events bound for
