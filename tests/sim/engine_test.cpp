@@ -461,7 +461,7 @@ long minor_faults() {
 // pages. Now they share one block that the next engine takes over.
 TEST(EngineState, RepeatBuildsReuseTheirPages) {
 #if defined(DFSIM_TEST_SANITIZED) || !defined(__GLIBC__)
-  GTEST_SKIP() << "measures glibc malloc's page reuse";
+  GTEST_SKIP() << "measures page reuse under glibc malloc";
 #else
   DragonflyTopology topo(6);
   auto routing = make_routing("minimal", topo, {});
