@@ -225,29 +225,43 @@ TEST(ShardedCheckpoint, CheckpointStreamIsWorkerCountInvariant) {
 TEST(ShardedCheckpoint, KilledRunResumesToByteIdenticalEnd) {
   // A run cut mid-measurement and resumed in a fresh process image must
   // end in exactly the state of the uninterrupted run: same results and
-  // the same final checkpoint bytes.
+  // the same final checkpoint bytes. The stream holds no trace of the
+  // partition, so this holds across worker counts too: cut at 4 workers,
+  // resumed at 2, it ends where a single-worker run ends.
+  struct Workers {
+    int reference, cut, resume;
+  };
   for (const SimConfig& cfg : {sharded_config(), unbalanced_config()}) {
-    SCOPED_TRACE(cfg.topo.empty() ? "h=2" : cfg.topo);
-    JobsGuard guard(4);
-    SimulationRun reference = SimulationRun::steady(cfg);
-    reference.run_to_completion();
-    std::stringstream end_ref;
-    reference.save_checkpoint(end_ref);
+    for (const Workers w : {Workers{4, 4, 4}, Workers{1, 4, 2}}) {
+      SCOPED_TRACE((cfg.topo.empty() ? "h=2" : cfg.topo) + " workers " +
+                   std::to_string(w.reference) + "/" + std::to_string(w.cut) +
+                   "/" + std::to_string(w.resume));
+      SteadyResult reference;
+      std::stringstream end_ref;
+      {
+        JobsGuard guard(w.reference);
+        SimulationRun run = SimulationRun::steady(cfg);
+        run.run_to_completion();
+        reference = run.steady_result();
+        run.save_checkpoint(end_ref);
+      }
+      std::stringstream snap;
+      {
+        JobsGuard guard(w.cut);
+        SimulationRun killed = SimulationRun::steady(cfg);
+        killed.advance(900);
+        killed.save_checkpoint(snap);
+      }
+      JobsGuard guard(w.resume);
+      SimulationRun resumed = SimulationRun::steady(cfg);
+      resumed.restore(snap);
+      resumed.run_to_completion();
+      std::stringstream end_resumed;
+      resumed.save_checkpoint(end_resumed);
 
-    std::stringstream snap;
-    {
-      SimulationRun killed = SimulationRun::steady(cfg);
-      killed.advance(900);
-      killed.save_checkpoint(snap);
+      expect_same_steady(reference, resumed.steady_result());
+      EXPECT_EQ(end_ref.str(), end_resumed.str());
     }
-    SimulationRun resumed = SimulationRun::steady(cfg);
-    resumed.restore(snap);
-    resumed.run_to_completion();
-    std::stringstream end_resumed;
-    resumed.save_checkpoint(end_resumed);
-
-    expect_same_steady(reference.steady_result(), resumed.steady_result());
-    EXPECT_EQ(end_ref.str(), end_resumed.str());
   }
 }
 
@@ -405,40 +419,6 @@ TEST(ShardedCheckpoint, WorkloadMidRunCutResumesBitIdentically) {
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_EQ(a.per_job[j].delivered, b.per_job[j].delivered);
     EXPECT_EQ(a.per_job[j].avg_latency, b.per_job[j].avg_latency);
-  }
-}
-
-TEST(ShardedCheckpoint, ResumesAtAnotherWorkerCount) {
-  // The stream holds no trace of the partition: a run cut at 4 workers
-  // and resumed at 2 ends exactly where an uninterrupted single-worker
-  // run ends, results and final checkpoint bytes alike.
-  for (const SimConfig& cfg : {sharded_config(), unbalanced_config()}) {
-    SCOPED_TRACE(cfg.topo.empty() ? "h=2" : cfg.topo);
-    SteadyResult reference;
-    std::stringstream end_ref;
-    {
-      JobsGuard guard(1);
-      SimulationRun run = SimulationRun::steady(cfg);
-      run.run_to_completion();
-      reference = run.steady_result();
-      run.save_checkpoint(end_ref);
-    }
-    std::stringstream snap;
-    {
-      JobsGuard guard(4);
-      SimulationRun killed = SimulationRun::steady(cfg);
-      killed.advance(900);
-      killed.save_checkpoint(snap);
-    }
-    JobsGuard guard(2);
-    SimulationRun resumed = SimulationRun::steady(cfg);
-    resumed.restore(snap);
-    resumed.run_to_completion();
-    std::stringstream end_resumed;
-    resumed.save_checkpoint(end_resumed);
-
-    expect_same_steady(reference, resumed.steady_result());
-    EXPECT_EQ(end_ref.str(), end_resumed.str());
   }
 }
 
