@@ -213,6 +213,41 @@ TEST(Checkpoint, SaveAtCompletionRoundTrips) {
   expect_same_steady(a.steady_result(), b.steady_result());
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Run checkpoint format pin (run v2 around engine v6): a phased pb run
+// with a two-job workload, cut in its second phase (a workload owns the
+// destinations and loads, so the phases switch neither). The stream holds the run header and schedule, accumulated
+// windows with per-job cuts, the collector's per-job section, pb's
+// published table and the engine section, and it must come back byte for
+// byte from a restore into a fresh run.
+TEST(Checkpoint, RunStreamPinned) {
+  SimConfig cfg = small_config();
+  cfg.routing = "pb";
+  cfg.workload = "jobs:2:alltoall:size=1-3:reply=1|ring@0.2";
+  cfg.load = 0.15;
+  const std::vector<Phase> phases = {{800, 2, "", -1.0},
+                                     {800, 2, "", -1.0}};
+  SimulationRun a = SimulationRun::phased(cfg, phases);
+  a.advance(1700);
+  std::stringstream saved;
+  a.save_checkpoint(saved);
+  SimulationRun b = SimulationRun::phased(cfg, phases);
+  b.restore(saved);
+  std::stringstream resaved;
+  b.save_checkpoint(resaved);
+  EXPECT_TRUE(saved.str() == resaved.str())
+      << "save -> restore -> save changed the stream";
+  EXPECT_EQ(fnv1a(saved.str()), 0xab3bcf5954b53097ULL);
+}
+
 // --- rejection of damaged / mismatched checkpoints -----------------------
 
 std::string checkpoint_bytes(const SimConfig& cfg, Cycle cut) {

@@ -355,7 +355,10 @@ std::uint64_t fnv1a(const std::string& bytes) {
 /// FNV-1a digest of the checkpoint an h=2 engine saves at cycle 700,
 /// uniform traffic at 0.4. The checkpoint covers every piece of dynamic
 /// state (VC FIFOs, credits, wheels, pool free lists, RNG cursor), so any
-/// change to what the engine does cycle by cycle moves the digest.
+/// change to what the engine does cycle by cycle moves the digest. The
+/// stream must also survive a round trip: restored into a fresh engine
+/// and saved again, it comes back byte for byte, so a field that save
+/// writes but restore drops (or reads into the wrong place) fails here.
 std::uint64_t checkpoint_digest_at_700(const std::string& routing_name,
                                        const EngineConfig& ec) {
   DragonflyTopology topo(2);
@@ -369,6 +372,14 @@ std::uint64_t checkpoint_digest_at_700(const std::string& routing_name,
   EXPECT_GT(engine.delivered_packets(), 0u);
   std::stringstream os;
   engine.save_checkpoint(os);
+
+  auto routing2 = make_routing(routing_name, topo, {});
+  Engine restored(topo, ec, *routing2, pattern, inj);
+  restored.restore(os);
+  std::stringstream resaved;
+  restored.save_checkpoint(resaved);
+  EXPECT_TRUE(os.str() == resaved.str())
+      << "save -> restore -> save changed the stream";
   return fnv1a(os.str());
 }
 
