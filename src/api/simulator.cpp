@@ -142,56 +142,39 @@ void validate_phases(const SimConfig& cfg, const std::vector<Phase>& phases) {
   }
 }
 
-constexpr char kRunMagic[8] = {'D', 'F', 'R', 'U', 'N', 'C', 'K', '\n'};
+constexpr std::uint64_t kRunMagic = ser::magic("DFRUNCK\n");
 
-void write_traffic_window(std::ostream& os, const TrafficWindow& w) {
-  ser::write_u64(os, w.start);
-  ser::write_u64(os, w.end);
-  ser::write_u64(os, w.delivered);
-  ser::write_u64(os, w.delivered_phits);
-  ser::write_u64(os, w.generated);
-  ser::write_u64(os, w.dropped);
-  ser::write_f64(os, w.avg_latency);
-  ser::write_f64(os, w.accepted_load);
-  ser::write_f64(os, w.offered_load);
-  ser::write_f64(os, w.drop_rate);
+template <class Ar>
+void transfer(Ar& ar, TrafficWindow& w) {
+  ar.u64(w.start, "window start");
+  ar.u64(w.end, "window end");
+  ar.u64(w.delivered, "window delivered");
+  ar.u64(w.delivered_phits, "window delivered phits");
+  ar.u64(w.generated, "window generated");
+  ar.u64(w.dropped, "window dropped");
+  ar.f64(w.avg_latency, "window avg latency");
+  ar.f64(w.accepted_load, "window accepted load");
+  ar.f64(w.offered_load, "window offered load");
+  ar.f64(w.drop_rate, "window drop rate");
 }
 
-void write_window_vec(std::ostream& os,
-                      const std::vector<TrafficWindow>& ws) {
-  ser::write_u64(os, ws.size());
-  for (const TrafficWindow& w : ws) write_traffic_window(os, w);
+/// Per-job cuts of one window: none, or one per job.
+template <class Ar>
+void transfer(Ar& ar, std::vector<TrafficWindow>& ws, int num_jobs) {
+  std::uint64_t n = ws.size();
+  ar.count(n, static_cast<std::uint64_t>(num_jobs), "per-job window count");
+  ws.resize(static_cast<std::size_t>(n));
+  for (TrafficWindow& w : ws) transfer(ar, w);
 }
 
-std::vector<TrafficWindow> read_window_vec(std::istream& is);
-
-TrafficWindow read_traffic_window(std::istream& is) {
-  TrafficWindow w;
-  w.start = ser::read_u64(is, "window start");
-  w.end = ser::read_u64(is, "window end");
-  w.delivered = ser::read_u64(is, "window delivered");
-  w.delivered_phits = ser::read_u64(is, "window delivered phits");
-  w.generated = ser::read_u64(is, "window generated");
-  w.dropped = ser::read_u64(is, "window dropped");
-  w.avg_latency = ser::read_f64(is, "window avg latency");
-  w.accepted_load = ser::read_f64(is, "window accepted load");
-  w.offered_load = ser::read_f64(is, "window offered load");
-  w.drop_rate = ser::read_f64(is, "window drop rate");
-  return w;
-}
-
-std::vector<TrafficWindow> read_window_vec(std::istream& is) {
-  const std::uint64_t n = ser::read_u64(is, "per-job window count");
-  if (n > (1ULL << 20)) {
-    throw std::runtime_error(
-        "checkpoint corrupt: implausible per-job window count");
-  }
-  std::vector<TrafficWindow> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(read_traffic_window(is));
-  }
-  return out;
+template <class Ar>
+void transfer(Ar& ar, PhaseWindow& pw, int num_jobs) {
+  ar.i32(pw.phase, "accumulated window phase");
+  ar.i32(pw.window, "accumulated window index");
+  ar.str(pw.pattern, "accumulated window pattern");
+  ar.f64(pw.load, "accumulated window load");
+  transfer(ar, pw.stats);
+  transfer(ar, pw.per_job, num_jobs);  // v2
 }
 
 /// Name the first knob that differs between two describe() texts, for the
@@ -321,6 +304,123 @@ struct SimulationRun::Impl {
     window_start = now();
     window_idx = 0;
     phase_entered = true;
+  }
+
+  /// The run checkpoint's field list: run header and schedule, stage
+  /// cursor, accumulated windows, then the collector and engine sections.
+  template <class Ar>
+  void transfer(Ar& ar) {
+    constexpr bool kLoad = Ar::kLoading;
+    if (kLoad && (advanced || now() != 0)) {
+      throw std::logic_error(
+          "SimulationRun::restore requires a freshly-constructed run (same "
+          "config and schedule as the checkpointed one)");
+    }
+    std::uint64_t magic = kRunMagic;
+    ar.u64(magic, "run checkpoint magic");
+    if (magic != kRunMagic) {
+      throw std::runtime_error(
+          "not a dfsim run checkpoint (bad magic bytes)");
+    }
+    std::uint32_t version = kCheckpointVersion;
+    ar.u32(version, "run checkpoint version");
+    if (version == 1) {
+      throw std::runtime_error(
+          "run checkpoint format version 1 is not supported by this build "
+          "(version 2 added the workload knob to the config text and "
+          "per-job sections to every accumulated window; re-run the "
+          "checkpointed experiment to produce a v2 checkpoint)");
+    }
+    if (version != kCheckpointVersion) {
+      throw std::runtime_error(
+          "run checkpoint format version " + std::to_string(version) +
+          " is not supported by this build (expected " +
+          std::to_string(kCheckpointVersion) + ")");
+    }
+    std::string saved_cfg = cfg_text;
+    ar.str(saved_cfg, "run config text");
+    if (saved_cfg != cfg_text) {
+      throw std::runtime_error(
+          "checkpoint config drift: " +
+          first_config_difference(saved_cfg, cfg_text) +
+          " — resume with the exact configuration the run was started with");
+    }
+    Kind saved_kind = kind;
+    ar.u8(saved_kind, "run kind");
+    if (saved_kind != kind) {
+      throw std::runtime_error(
+          "checkpoint mismatch: the checkpointed run is a different "
+          "experiment shape (steady/burst/phased) than this one");
+    }
+    std::uint64_t nphases = phases.size();
+    ar.u64(nphases, "run phase count");
+    if (nphases != phases.size()) {
+      throw std::runtime_error(
+          "checkpoint mismatch: phase schedule has " +
+          std::to_string(nphases) + " phases in the checkpoint but " +
+          std::to_string(phases.size()) + " in this run");
+    }
+    std::uint64_t max_windows = 0;  // what the schedule can accumulate
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      const Phase& mine = phases[i];
+      Phase ph = mine;
+      ar.u64(ph.cycles, "phase length");
+      ar.i32(ph.windows, "phase windows");
+      ar.str(ph.pattern, "phase pattern");
+      ar.f64(ph.load, "phase load");
+      if (ph.cycles != mine.cycles || ph.windows != mine.windows ||
+          ph.pattern != mine.pattern ||
+          std::memcmp(&ph.load, &mine.load, sizeof(double)) != 0) {
+        throw std::runtime_error(
+            "checkpoint mismatch: phase " + std::to_string(i) +
+            " of the schedule differs from the checkpointed one");
+      }
+      max_windows += static_cast<std::uint64_t>(mine.windows);
+    }
+
+    ar.u8(stage, "run stage");
+    if (stage > Stage::kDone) {
+      throw std::runtime_error("checkpoint corrupt: unknown run stage");
+    }
+    ar.u64(phase_idx, "run phase index");
+    ar.i32(window_idx, "run window index");
+    ar.u8(phase_entered, "run phase-entered flag");
+    ar.u64(phase_start, "run phase start");
+    ar.u64(window_start, "run window start");
+    ar.u64(drain_start, "run drain start");
+    ar.u8(draining, "run draining flag");
+    ar.str(active_pattern_spec, "run active pattern spec");
+    ar.str(active_pattern_name, "run active pattern name");
+    ar.f64(active_load, "run active load");
+    ar.u64(burst_expected, "run burst target");
+    if (phase_idx > phases.size()) {
+      throw std::runtime_error("checkpoint corrupt: phase index out of range");
+    }
+
+    const int jobs = hx.collector.num_jobs();
+    std::uint64_t nwindows = windows.size();
+    ar.count(nwindows, max_windows, "accumulated-window count");
+    windows.resize(static_cast<std::size_t>(nwindows));
+    for (PhaseWindow& pw : windows) simrun_detail::transfer(ar, pw, jobs);
+    simrun_detail::transfer(ar, drain_window);
+    simrun_detail::transfer(ar, drain_per_job, jobs);
+    ar.u8(drained, "run drained flag");
+    hx.collector.transfer(ar);
+    hx.engine.transfer(ar);
+
+    if constexpr (kLoad) {
+      // Reinstate the mid-run pattern switch: the engine's pattern pointer
+      // is process-local, so it is rebuilt from the phase's spec string
+      // rather than serialized. Patterns are stateless given the engine's
+      // (restored) RNG, so the rebuilt instance draws identically.
+      if (!active_pattern_spec.empty()) {
+        switched = make_pattern(hx.topo, active_pattern_spec,
+                                cfg.pattern_offset, cfg.global_fraction);
+        hx.engine.set_pattern(*switched);
+        active_pattern_name = switched->name();
+      }
+      advanced = true;
+    }
   }
 };
 
@@ -555,165 +655,10 @@ PhasedResult SimulationRun::phased_result() const {
 }
 
 void SimulationRun::save_checkpoint(std::ostream& os) const {
-  const Impl& im = *impl_;
-  ser::write_bytes(os, kRunMagic, sizeof(kRunMagic));
-  ser::write_u32(os, kCheckpointVersion);
-  ser::write_string(os, im.cfg_text);
-  ser::write_u8(os, static_cast<std::uint8_t>(im.kind));
-  ser::write_u64(os, im.phases.size());
-  for (const Phase& ph : im.phases) {
-    ser::write_u64(os, ph.cycles);
-    ser::write_i32(os, ph.windows);
-    ser::write_string(os, ph.pattern);
-    ser::write_f64(os, ph.load);
-  }
-  ser::write_u8(os, static_cast<std::uint8_t>(im.stage));
-  ser::write_u64(os, im.phase_idx);
-  ser::write_i32(os, im.window_idx);
-  ser::write_u8(os, im.phase_entered ? 1 : 0);
-  ser::write_u64(os, im.phase_start);
-  ser::write_u64(os, im.window_start);
-  ser::write_u64(os, im.drain_start);
-  ser::write_u8(os, im.draining ? 1 : 0);
-  ser::write_string(os, im.active_pattern_spec);
-  ser::write_string(os, im.active_pattern_name);
-  ser::write_f64(os, im.active_load);
-  ser::write_u64(os, im.burst_expected);
-  ser::write_u64(os, im.windows.size());
-  for (const PhaseWindow& pw : im.windows) {
-    ser::write_i32(os, pw.phase);
-    ser::write_i32(os, pw.window);
-    ser::write_string(os, pw.pattern);
-    ser::write_f64(os, pw.load);
-    write_traffic_window(os, pw.stats);
-    write_window_vec(os, pw.per_job);  // v2: per-job cuts of the window
-  }
-  write_traffic_window(os, im.drain_window);
-  write_window_vec(os, im.drain_per_job);
-  ser::write_u8(os, im.drained ? 1 : 0);
-  im.hx.collector.save(os);
-  im.hx.engine.save_checkpoint(os);
+  ser::save(os, *impl_);
 }
 
-void SimulationRun::restore(std::istream& is) {
-  Impl& im = *impl_;
-  if (im.advanced || im.now() != 0) {
-    throw std::logic_error(
-        "SimulationRun::restore requires a freshly-constructed run (same "
-        "config and schedule as the checkpointed one)");
-  }
-
-  char magic[8];
-  ser::read_bytes(is, magic, sizeof(magic), "run checkpoint magic");
-  if (std::memcmp(magic, kRunMagic, sizeof(kRunMagic)) != 0) {
-    throw std::runtime_error(
-        "not a dfsim run checkpoint (bad magic bytes)");
-  }
-  const std::uint32_t version = ser::read_u32(is, "run checkpoint version");
-  if (version == 1) {
-    throw std::runtime_error(
-        "run checkpoint format version 1 is not supported by this build "
-        "(version 2 added the workload knob to the config text and "
-        "per-job sections to every accumulated window; re-run the "
-        "checkpointed experiment to produce a v2 checkpoint)");
-  }
-  if (version != kCheckpointVersion) {
-    throw std::runtime_error(
-        "run checkpoint format version " + std::to_string(version) +
-        " is not supported by this build (expected " +
-        std::to_string(kCheckpointVersion) + ")");
-  }
-  const std::string saved_cfg = ser::read_string(is, "run config text");
-  if (saved_cfg != im.cfg_text) {
-    throw std::runtime_error(
-        "checkpoint config drift: " +
-        first_config_difference(saved_cfg, im.cfg_text) +
-        " — resume with the exact configuration the run was started with");
-  }
-  const std::uint8_t kind = ser::read_u8(is, "run kind");
-  if (kind != static_cast<std::uint8_t>(im.kind)) {
-    throw std::runtime_error(
-        "checkpoint mismatch: the checkpointed run is a different "
-        "experiment shape (steady/burst/phased) than this one");
-  }
-  const std::uint64_t nphases = ser::read_u64(is, "run phase count");
-  if (nphases != im.phases.size()) {
-    throw std::runtime_error(
-        "checkpoint mismatch: phase schedule has " +
-        std::to_string(nphases) + " phases in the checkpoint but " +
-        std::to_string(im.phases.size()) + " in this run");
-  }
-  for (std::size_t i = 0; i < im.phases.size(); ++i) {
-    const Phase& ph = im.phases[i];
-    const Cycle cycles = ser::read_u64(is, "phase length");
-    const std::int32_t windows = ser::read_i32(is, "phase windows");
-    const std::string pattern = ser::read_string(is, "phase pattern");
-    const double load = ser::read_f64(is, "phase load");
-    if (cycles != ph.cycles || windows != ph.windows ||
-        pattern != ph.pattern ||
-        std::memcmp(&load, &ph.load, sizeof(double)) != 0) {
-      throw std::runtime_error(
-          "checkpoint mismatch: phase " + std::to_string(i) +
-          " of the schedule differs from the checkpointed one");
-    }
-  }
-
-  const std::uint8_t stage = ser::read_u8(is, "run stage");
-  if (stage > static_cast<std::uint8_t>(Impl::Stage::kDone)) {
-    throw std::runtime_error("checkpoint corrupt: unknown run stage");
-  }
-  im.stage = static_cast<Impl::Stage>(stage);
-  im.phase_idx = ser::read_u64(is, "run phase index");
-  im.window_idx = ser::read_i32(is, "run window index");
-  im.phase_entered = ser::read_u8(is, "run phase-entered flag") != 0;
-  im.phase_start = ser::read_u64(is, "run phase start");
-  im.window_start = ser::read_u64(is, "run window start");
-  im.drain_start = ser::read_u64(is, "run drain start");
-  im.draining = ser::read_u8(is, "run draining flag") != 0;
-  im.active_pattern_spec = ser::read_string(is, "run active pattern spec");
-  im.active_pattern_name = ser::read_string(is, "run active pattern name");
-  im.active_load = ser::read_f64(is, "run active load");
-  im.burst_expected = ser::read_u64(is, "run burst target");
-  if (im.phase_idx > im.phases.size()) {
-    throw std::runtime_error("checkpoint corrupt: phase index out of range");
-  }
-
-  const std::uint64_t nwindows = ser::read_u64(is, "run window count");
-  if (nwindows > (1ULL << 32)) {
-    throw std::runtime_error(
-        "checkpoint corrupt: implausible accumulated-window count");
-  }
-  im.windows.clear();
-  im.windows.reserve(static_cast<std::size_t>(nwindows));
-  for (std::uint64_t i = 0; i < nwindows; ++i) {
-    PhaseWindow pw;
-    pw.phase = ser::read_i32(is, "accumulated window phase");
-    pw.window = ser::read_i32(is, "accumulated window index");
-    pw.pattern = ser::read_string(is, "accumulated window pattern");
-    pw.load = ser::read_f64(is, "accumulated window load");
-    pw.stats = read_traffic_window(is);
-    pw.per_job = read_window_vec(is);
-    im.windows.push_back(std::move(pw));
-  }
-  im.drain_window = read_traffic_window(is);
-  im.drain_per_job = read_window_vec(is);
-  im.drained = ser::read_u8(is, "run drained flag") != 0;
-
-  im.hx.collector.load(is);
-  im.hx.engine.restore(is);
-
-  // Reinstate the mid-run pattern switch: the engine's pattern pointer is
-  // process-local, so it is rebuilt from the phase's spec string rather
-  // than serialized. Patterns are stateless given the engine's (restored)
-  // RNG, so the rebuilt instance draws identically.
-  if (!im.active_pattern_spec.empty()) {
-    im.switched = make_pattern(im.hx.topo, im.active_pattern_spec,
-                               im.cfg.pattern_offset, im.cfg.global_fraction);
-    im.hx.engine.set_pattern(*im.switched);
-    im.active_pattern_name = im.switched->name();
-  }
-  im.advanced = true;
-}
+void SimulationRun::restore(std::istream& is) { ser::load(is, *impl_); }
 
 // ---------------------------------------------------------------------------
 // The historical one-call wrappers, now thin shims over SimulationRun.

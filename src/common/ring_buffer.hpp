@@ -28,6 +28,8 @@ namespace dfsim {
 template <typename T>
 class RingDeque {
  public:
+  using value_type = T;
+
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
   /// Heap bytes held by this deque (memory-audit support).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace dfsim {
 
@@ -39,18 +37,6 @@ void Histogram::add(double x) {
   }
   ++buckets_[idx];
   ++total_;
-}
-
-void Histogram::restore(const std::vector<std::uint64_t>& buckets,
-                        std::uint64_t total) {
-  if (buckets.size() != buckets_.size()) {
-    throw std::invalid_argument(
-        "Histogram::restore: snapshot has " +
-        std::to_string(buckets.size()) + " buckets, this histogram " +
-        std::to_string(buckets_.size()));
-  }
-  buckets_ = buckets;
-  total_ = total;
 }
 
 double Histogram::percentile(double p) const {

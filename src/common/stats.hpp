@@ -23,16 +23,14 @@ class RunningStat {
   double variance() const;
   double stddev() const;
 
-  // --- checkpoint support -----------------------------------------------
-  // The Welford accumulator is order-sensitive in floating point, so a
-  // resumed run must continue from the bit-exact (count, mean, m2) triple
-  // rather than re-deriving it.
-  double raw_mean() const { return mean_; }
-  double raw_m2() const { return m2_; }
-  void restore(std::uint64_t count, double mean, double m2) {
-    count_ = count;
-    mean_ = mean;
-    m2_ = m2;
+  /// Checkpoint fields (see common/serialize.hpp). The Welford accumulator
+  /// is order-sensitive in floating point, so a resumed run must continue
+  /// from the bit-exact (count, mean, m2) triple rather than re-deriving it.
+  template <class Ar>
+  void transfer(Ar& ar, const char* what) {
+    ar.u64(count_, what);
+    ar.f64(mean_, what);
+    ar.f64(m2_, what);
   }
 
  private:
@@ -62,10 +60,14 @@ class Histogram {
   double bucket_width() const { return width_; }
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
-  /// Checkpoint support: overwrite the counts with a saved snapshot. The
-  /// snapshot must come from a histogram of identical geometry.
-  void restore(const std::vector<std::uint64_t>& buckets,
-               std::uint64_t total);
+  /// Checkpoint fields. The stream's bucket count must match this
+  /// histogram's geometry; the Reader checks it before reading a bucket.
+  template <class Ar>
+  void transfer(Ar& ar, const char* what) {
+    ar.expect(buckets_.size(), what);
+    for (std::uint64_t& b : buckets_) ar.u64(b, what);
+    ar.u64(total_, what);
+  }
 
  private:
   double width_;

@@ -7,23 +7,6 @@
 
 namespace dfsim {
 
-namespace {
-
-void save_stat(std::ostream& os, const RunningStat& s) {
-  ser::write_u64(os, s.count());
-  ser::write_f64(os, s.raw_mean());
-  ser::write_f64(os, s.raw_m2());
-}
-
-void load_stat(std::istream& is, RunningStat& s, const char* what) {
-  const std::uint64_t count = ser::read_u64(is, what);
-  const double mean = ser::read_f64(is, what);
-  const double m2 = ser::read_f64(is, what);
-  s.restore(count, mean, m2);
-}
-
-}  // namespace
-
 Collector::Collector(Cycle warmup, int num_terminals)
     : warmup_(warmup),
       num_terminals_(num_terminals),
@@ -167,85 +150,52 @@ double Collector::drop_rate() const {
          static_cast<double>(generated_measured_);
 }
 
-void Collector::save(std::ostream& os) const {
-  // Geometry fields first so a mismatched restore names the field.
-  ser::write_u64(os, warmup_);
-  ser::write_u64(os, static_cast<std::uint64_t>(num_terminals_));
-  ser::write_u64(os, latency_hist_.buckets().size());
+void Collector::save(std::ostream& os) const { ser::save(os, *this); }
 
-  ser::write_f64(os, latency_sum_);
-  save_stat(os, latency_);
-  save_stat(os, hops_);
-  ser::write_u64_vec(os, latency_hist_.buckets());
-  ser::write_u64(os, latency_hist_.count());
-  ser::write_u64(os, delivered_packets_);
-  ser::write_u64(os, delivered_packets_total_);
-  ser::write_u64(os, delivered_phits_);
-  ser::write_u64(os, generated_);
-  ser::write_u64(os, dropped_);
-  ser::write_u64(os, generated_measured_);
-  ser::write_u64(os, dropped_measured_);
-  ser::write_u64(os, mark_.delivered);
-  ser::write_u64(os, mark_.delivered_phits);
-  ser::write_u64(os, mark_.generated);
-  ser::write_u64(os, mark_.dropped);
-  ser::write_f64(os, mark_.latency_sum);
+void Collector::load(std::istream& is) { ser::load(is, *this); }
+
+template <class Ar>
+void Collector::transfer(Ar& ar) {
+  // Geometry fields first so a mismatched restore names the field.
+  ar.expect(warmup_, "collector warmup cycles");
+  ar.expect(static_cast<std::uint64_t>(num_terminals_),
+            "collector terminal count");
+  ar.expect(latency_hist_.buckets().size(), "collector histogram buckets");
+
+  ar.f64(latency_sum_, "collector latency sum");
+  latency_.transfer(ar, "collector latency stat");
+  hops_.transfer(ar, "collector hops stat");
+  latency_hist_.transfer(ar, "collector histogram");
+  ar.u64(delivered_packets_, "collector delivered");
+  ar.u64(delivered_packets_total_, "collector delivered total");
+  ar.u64(delivered_phits_, "collector delivered phits");
+  ar.u64(generated_, "collector generated");
+  ar.u64(dropped_, "collector dropped");
+  ar.u64(generated_measured_, "collector generated measured");
+  ar.u64(dropped_measured_, "collector dropped measured");
+  ar.u64(mark_.delivered, "collector mark delivered");
+  ar.u64(mark_.delivered_phits, "collector mark phits");
+  ar.u64(mark_.generated, "collector mark generated");
+  ar.u64(mark_.dropped, "collector mark dropped");
+  ar.f64(mark_.latency_sum, "collector mark latency sum");
   // Per-job section (count 0 when no job map is set). The map itself is
   // config-derived and re-established before load(); only counters and
   // marks are state.
-  ser::write_u64(os, static_cast<std::uint64_t>(num_jobs_));
+  ar.expect(static_cast<std::uint64_t>(num_jobs_), "collector job count");
   for (int j = 0; j < num_jobs_; ++j) {
-    const auto uj = static_cast<std::size_t>(j);
-    ser::write_u64(os, job_[uj].delivered);
-    ser::write_u64(os, job_[uj].delivered_phits);
-    ser::write_f64(os, job_[uj].latency_sum);
-    ser::write_u64(os, job_mark_[uj].delivered);
-    ser::write_u64(os, job_mark_[uj].delivered_phits);
-    ser::write_f64(os, job_mark_[uj].latency_sum);
+    JobCounters& job = job_[static_cast<std::size_t>(j)];
+    JobCounters& mark = job_mark_[static_cast<std::size_t>(j)];
+    ar.u64(job.delivered, "collector job delivered");
+    ar.u64(job.delivered_phits, "collector job phits");
+    ar.f64(job.latency_sum, "collector job latency sum");
+    ar.u64(mark.delivered, "collector job mark delivered");
+    ar.u64(mark.delivered_phits, "collector job mark phits");
+    ar.f64(mark.latency_sum, "collector job mark latency sum");
   }
 }
 
-void Collector::load(std::istream& is) {
-  ser::expect_u64(is, warmup_, "collector warmup cycles");
-  ser::expect_u64(is, static_cast<std::uint64_t>(num_terminals_),
-                  "collector terminal count");
-  ser::expect_u64(is, latency_hist_.buckets().size(),
-                  "collector histogram buckets");
-
-  latency_sum_ = ser::read_f64(is, "collector latency sum");
-  load_stat(is, latency_, "collector latency stat");
-  load_stat(is, hops_, "collector hops stat");
-  const auto buckets = ser::read_u64_vec(is, "collector histogram");
-  const std::uint64_t hist_total =
-      ser::read_u64(is, "collector histogram total");
-  latency_hist_.restore(buckets, hist_total);
-  delivered_packets_ = ser::read_u64(is, "collector delivered");
-  delivered_packets_total_ = ser::read_u64(is, "collector delivered total");
-  delivered_phits_ = ser::read_u64(is, "collector delivered phits");
-  generated_ = ser::read_u64(is, "collector generated");
-  dropped_ = ser::read_u64(is, "collector dropped");
-  generated_measured_ = ser::read_u64(is, "collector generated measured");
-  dropped_measured_ = ser::read_u64(is, "collector dropped measured");
-  mark_.delivered = ser::read_u64(is, "collector mark delivered");
-  mark_.delivered_phits = ser::read_u64(is, "collector mark phits");
-  mark_.generated = ser::read_u64(is, "collector mark generated");
-  mark_.dropped = ser::read_u64(is, "collector mark dropped");
-  mark_.latency_sum = ser::read_f64(is, "collector mark latency sum");
-  ser::expect_u64(is, static_cast<std::uint64_t>(num_jobs_),
-                  "collector job count");
-  for (int j = 0; j < num_jobs_; ++j) {
-    const auto uj = static_cast<std::size_t>(j);
-    job_[uj].delivered = ser::read_u64(is, "collector job delivered");
-    job_[uj].delivered_phits = ser::read_u64(is, "collector job phits");
-    job_[uj].latency_sum = ser::read_f64(is, "collector job latency sum");
-    job_mark_[uj].delivered =
-        ser::read_u64(is, "collector job mark delivered");
-    job_mark_[uj].delivered_phits =
-        ser::read_u64(is, "collector job mark phits");
-    job_mark_[uj].latency_sum =
-        ser::read_f64(is, "collector job mark latency sum");
-  }
-}
+template void Collector::transfer(ser::Writer&);
+template void Collector::transfer(ser::Reader&);
 
 TrafficWindow Collector::cut_window(Cycle start, Cycle end,
                                     int packet_phits) {

@@ -108,6 +108,10 @@ class Collector {
   /// std::runtime_error on a truncated or mismatched stream.
   void save(std::ostream& os) const;
   void load(std::istream& is);
+  /// The field list behind save (ar a ser::Writer) and load (a
+  /// ser::Reader); a run checkpoint embeds it.
+  template <class Ar>
+  void transfer(Ar& ar);
 
  private:
   /// Counter snapshot cut_window diffs against.

@@ -32,19 +32,22 @@ void PiggybackRouting::per_cycle(Engine& engine) {
 }
 
 void PiggybackRouting::save_state(std::ostream& os) const {
-  ser::write_u64(os, published_.size());
-  for (const double v : published_) ser::write_f64(os, v);
+  ser::save(os, *this);
 }
 
-void PiggybackRouting::restore_state(std::istream& is) {
-  const std::uint64_t n = ser::read_u64(is, "pb published table size");
+void PiggybackRouting::restore_state(std::istream& is) { ser::load(is, *this); }
+
+template <class Ar>
+void PiggybackRouting::transfer(Ar& ar) {
+  std::uint64_t n = published_.size();
+  ar.u64(n, "pb published table size");
   if (n != published_.size()) {
     throw std::runtime_error(
         "checkpoint mismatch: pb published table has " + std::to_string(n) +
         " entries in the checkpoint but " +
         std::to_string(published_.size()) + " in this configuration");
   }
-  for (double& v : published_) v = ser::read_f64(is, "pb published entry");
+  for (double& v : published_) ar.f64(v, "pb published entry");
 }
 
 std::optional<RouteChoice> PiggybackRouting::decide(RoutingContext& ctx) {

@@ -38,6 +38,9 @@ class PiggybackRouting final : public RoutingAlgorithm {
   /// rebuild from engine state, so they checkpoint as-is.
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;
+  /// The published table as checkpoint fields (see common/serialize.hpp).
+  template <class Ar>
+  void transfer(Ar& ar);
 
   int min_local_vcs() const override { return 3; }
   int min_global_vcs() const override { return 2; }

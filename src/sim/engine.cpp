@@ -325,15 +325,18 @@ void Engine::maybe_reply(const Packet& pkt) {
   if (on_generated_) on_generated_(now_, accepted);
 }
 
+void Engine::ensure_forced_queues() {
+  if (has_forced_dst_) return;
+  const auto n = static_cast<std::size_t>(topo_.num_terminals());
+  forced_dst_.resize(n);
+  forced_created_.resize(n);
+  forced_flags_.resize(n);
+  has_forced_dst_ = true;
+}
+
 bool Engine::push_forced(NodeId t, NodeId dst, Cycle created,
                          std::uint8_t flags) {
-  if (!has_forced_dst_) {
-    const auto n = static_cast<std::size_t>(topo_.num_terminals());
-    forced_dst_.resize(n);
-    forced_created_.resize(n);
-    forced_flags_.resize(n);
-    has_forced_dst_ = true;
-  }
+  ensure_forced_queues();
   const auto ti = static_cast<std::size_t>(t);
   if (forced_dst_[ti].size() >=
       static_cast<std::size_t>(cfg_.source_queue_cap)) {
@@ -370,15 +373,9 @@ void Engine::feed_trace() {
 void Engine::set_workload(Workload* w) {
   workload_ = w;
   workload_trace_ = w != nullptr && w->is_trace();
-  if (w != nullptr && !has_forced_dst_) {
-    // Eager allocation: the sharded stepper queues message bodies from a
-    // parallel phase, which must never race a lazy resize.
-    const auto n = static_cast<std::size_t>(topo_.num_terminals());
-    forced_dst_.resize(n);
-    forced_created_.resize(n);
-    forced_flags_.resize(n);
-    has_forced_dst_ = true;
-  }
+  // Eager allocation: the sharded stepper queues message bodies from a
+  // parallel phase, which must never race a lazy resize.
+  if (w != nullptr) ensure_forced_queues();
 }
 
 void Engine::set_terminal_loads(const std::vector<double>& loads) {
@@ -399,11 +396,7 @@ void Engine::set_terminal_loads(const std::vector<double>& loads) {
   for (std::size_t i = 0; i < loads.size(); ++i) {
     const double p = loads[i] / static_cast<double>(cfg_.packet_phits);
     terminal_gen_prob_[i] = p;
-    // 2^64-scaled threshold for the sharded counter-based coin; clamp at
-    // the all-ones word so p ~ 1 cannot overflow the conversion.
-    terminal_gen_threshold_[i] =
-        p >= 1.0 ? ~0ULL
-                 : static_cast<std::uint64_t>(p * 18446744073709551616.0);
+    terminal_gen_threshold_[i] = gen_threshold(p);
   }
   has_terminal_loads_ = true;
 }

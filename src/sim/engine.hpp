@@ -380,6 +380,11 @@ class Engine {
   /// from (exact-mode determinism contract).
   void restore(std::istream& is);
 
+  /// The checkpoint field list behind save_checkpoint (ar a ser::Writer)
+  /// and restore (a ser::Reader); a run checkpoint embeds it.
+  template <class Ar>
+  void transfer(Ar& ar);
+
   // --- test hooks -------------------------------------------------------
   /// Inject a fully-formed packet directly at its source terminal's queue
   /// (unit tests drive single packets through the network this way).
@@ -583,6 +588,14 @@ class Engine {
   /// draws. Returns false (and queues nothing) when the source backlog
   /// cap binds. Caller must be a serial phase, or own `t`'s shard.
   bool push_forced(NodeId t, NodeId dst, Cycle created, std::uint8_t flags);
+  /// Size the forced-injection queues for every terminal (idempotent).
+  void ensure_forced_queues();
+  /// 2^64-scaled generation threshold for the sharded counter-based coin;
+  /// clamped at the all-ones word so p ~ 1 cannot overflow the conversion.
+  static std::uint64_t gen_threshold(double p) {
+    return p >= 1.0 ? ~0ULL
+                    : static_cast<std::uint64_t>(p * 18446744073709551616.0);
+  }
   bool forced_pending(NodeId t) const {
     return has_forced_dst_ && !forced_dst_[static_cast<std::size_t>(t)].empty();
   }

@@ -1,16 +1,17 @@
 // Engine checkpoint/restart: serialize the flat engine state so a run
 // killed at cycle C resumes bit-identically (exact-mode determinism).
 //
-// What is saved: the clock, the RNG cursor, every input-VC FIFO, credits
-// and wormhole bindings, switch round-robin pointers, the live packets,
-// per-terminal source queues / burst budgets / ON/OFF chains, the timing
-// wheels' in-flight events, delivery counters, the routing mechanism's
-// cross-cycle state, and (v4) the workload layer: per-packet flag bytes,
-// the forced-injection (created, dst, flags) queues, per-terminal offered
-// loads and the trace replay cursor.
+// Engine::transfer names every field once; save_checkpoint runs it with a
+// ser::Writer and restore with a ser::Reader (common/serialize.hpp), which
+// checks every stream value it will use as an index or a size. Saved: the
+// clock, the RNG cursor, every input-VC FIFO, credits and wormhole
+// bindings, switch round-robin pointers, the live packets, per-terminal
+// source queues / burst budgets / ON/OFF chains, the timing wheels'
+// in-flight events, delivery counters, the routing mechanism's state, and
+// (v4) the workload layer: packet flag bytes, the forced-injection
+// (created, dst, flags) queues, per-terminal loads and the trace cursor.
 //
-// A sharded stream is canonical (v6): nothing in it depends on how the
-// routers were cut into shards, so the same run saves the same bytes at
+// A sharded stream is canonical (v6): the same run saves the same bytes at
 // any worker count and restores at any other. Two things would otherwise
 // leak the partition:
 //   - packet ids, which encode the creating shard's pool slab. The live
@@ -24,20 +25,17 @@
 //     most once per slot. A slot's deliveries need no sort: they were all
 //     staged in one cycle, shard by shard in ascending router order.
 // Exact mode has one shard and keeps its slot order and pool numbering
-// verbatim (slot layout and free-list order, so future ids replay); its
-// streams are laid out as in v5.
+// verbatim (slot layout and free-list order, so future ids replay).
 //
-// What is deliberately NOT saved, because rebuilding it is decision- and
-// RNG-neutral: the retry-suppression caches (vc_sleep_until_, waiter
-// lists, head_hop_ verdicts) — a woken head redoes a usability check that
-// fails identically; pure verdicts are recomputed by pure_minimal_hop,
-// which is RNG-free by contract — the per-packet minimal-port memos, and
-// the lazily-cleared pending-terminal bits (recomputed as their minimal
-// set, which the injection loop treats identically).
+// Not saved, because rebuilding it is decision- and RNG-neutral: the
+// retry-suppression caches (a woken head redoes a usability check that
+// fails identically; pure verdicts are recomputed RNG-free), the packets'
+// minimal-port memos, and the lazily-cleared pending-terminal bits.
 #include <algorithm>
 #include <istream>
 #include <ostream>
 #include <tuple>
+#include <utility>
 
 #include "common/serialize.hpp"
 #include "sim/engine.hpp"
@@ -47,276 +45,74 @@ namespace dfsim {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'F', 'E', 'N', 'G', 'C', 'K', '\n'};
+constexpr std::uint64_t kMagic = ser::magic("DFENGCK\n");
 constexpr std::uint64_t kEndSentinel = 0xdf51aced0c0ffee1ULL;
 
-void write_flit(std::ostream& os, const Flit& f) {
-  ser::write_i32(os, f.packet);
-  ser::write_i32(os, f.index);
-  ser::write_u8(os, f.head ? 1 : 0);
-  ser::write_u8(os, f.tail ? 1 : 0);
-}
-
-Flit read_flit(std::istream& is) {
-  Flit f;
-  f.packet = ser::read_i32(is, "flit packet id");
-  f.index = static_cast<std::int16_t>(ser::read_i32(is, "flit index"));
-  f.head = ser::read_u8(is, "flit head flag") != 0;
-  f.tail = ser::read_u8(is, "flit tail flag") != 0;
-  return f;
-}
-
-void write_packet(std::ostream& os, const Packet& p) {
-  ser::write_i32(os, p.src);
-  ser::write_i32(os, p.dst);
-  ser::write_i32(os, p.size_phits);
-  ser::write_u64(os, p.created);
-  ser::write_u64(os, p.injected);
-  const RouteState& rs = p.rs;
-  ser::write_i32(os, rs.dst_router);
-  ser::write_i32(os, rs.dst_group);
-  ser::write_i32(os, rs.src_group);
-  ser::write_i32(os, rs.inter_group);
-  ser::write_u8(os, rs.valiant ? 1 : 0);
-  ser::write_i32(os, rs.global_hops);
-  ser::write_i32(os, rs.local_hops_group);
-  ser::write_i32(os, rs.local_mis_group);
-  ser::write_i32(os, rs.local_hops_total);
-  ser::write_i32(os, rs.total_hops);
-  ser::write_i32(os, rs.prev_local_idx);
-  ser::write_i32(os, rs.last_local_vc);
-  ser::write_u8(os, p.flags);
+void transfer_packet(auto& ar, Packet& p, NodeId terminals) {
+  ar.index(p.src, terminals, "packet source");
+  ar.index(p.dst, terminals, "packet destination");
+  ar.i32(p.size_phits, "packet size");
+  ar.u64(p.created, "packet created cycle");
+  ar.u64(p.injected, "packet injected cycle");
+  RouteState& rs = p.rs;
+  ar.i32(rs.dst_router, "route dst router");
+  ar.i32(rs.dst_group, "route dst group");
+  ar.i32(rs.src_group, "route src group");
+  ar.i32(rs.inter_group, "route inter group");
+  ar.u8(rs.valiant, "route valiant flag");
+  ar.i32(rs.global_hops, "route global hops");
+  ar.i32(rs.local_hops_group, "route local hops");
+  ar.i32(rs.local_mis_group, "route local misroutes");
+  ar.i32(rs.local_hops_total, "route local hops total");
+  ar.i32(rs.total_hops, "route total hops");
+  ar.i32(rs.prev_local_idx, "route prev local idx");
+  ar.i32(rs.last_local_vc, "route last local vc");
+  ar.u8(p.flags, "packet flags");
   // min_cache is a pure memo: recomputed on first use after restore.
 }
 
-Packet read_packet(std::istream& is) {
-  Packet p;
-  p.src = ser::read_i32(is, "packet src");
-  p.dst = ser::read_i32(is, "packet dst");
-  p.size_phits = ser::read_i32(is, "packet size");
-  p.created = ser::read_u64(is, "packet created cycle");
-  p.injected = ser::read_u64(is, "packet injected cycle");
-  RouteState& rs = p.rs;
-  rs.dst_router = ser::read_i32(is, "route dst router");
-  rs.dst_group = ser::read_i32(is, "route dst group");
-  rs.src_group = ser::read_i32(is, "route src group");
-  rs.inter_group = ser::read_i32(is, "route inter group");
-  rs.valiant = ser::read_u8(is, "route valiant flag") != 0;
-  rs.global_hops =
-      static_cast<std::int8_t>(ser::read_i32(is, "route global hops"));
-  rs.local_hops_group =
-      static_cast<std::int8_t>(ser::read_i32(is, "route local hops"));
-  rs.local_mis_group =
-      static_cast<std::int8_t>(ser::read_i32(is, "route local misroutes"));
-  rs.local_hops_total =
-      static_cast<std::int8_t>(ser::read_i32(is, "route local hops total"));
-  rs.total_hops =
-      static_cast<std::int8_t>(ser::read_i32(is, "route total hops"));
-  rs.prev_local_idx =
-      static_cast<std::int8_t>(ser::read_i32(is, "route prev local idx"));
-  rs.last_local_vc =
-      static_cast<std::int8_t>(ser::read_i32(is, "route last local vc"));
-  p.flags = ser::read_u8(is, "packet flags");
-  return p;
+/// A queue whose length the caller has transferred: save visits its
+/// entries in order, restore appends them.
+template <class Ar, class Q, class Fn>
+void transfer_queue(Q& q, std::uint64_t n, Fn&& entry) {
+  if constexpr (Ar::kLoading) {
+    q = {};
+    for (std::uint64_t k = 0; k < n; ++k) {
+      typename Q::value_type x{};
+      entry(x);
+      q.push_back(x);
+    }
+  } else {
+    q.for_each([&](typename Q::value_type x) { entry(x); });
+  }
 }
 
 }  // namespace
 
-void Engine::save_checkpoint(std::ostream& os) const {
-  // --- versioned, shape-checked header ----------------------------------
-  ser::write_bytes(os, kMagic, sizeof(kMagic));
-  ser::write_u32(os, kCheckpointVersion);
-  ser::write_u64(os, static_cast<std::uint64_t>(topo_.num_routers()));
-  ser::write_u64(os, static_cast<std::uint64_t>(topo_.num_terminals()));
-  ser::write_u64(os, static_cast<std::uint64_t>(ports_));
-  ser::write_u64(os, static_cast<std::uint64_t>(vc_stride_));
-  ser::write_u64(os, static_cast<std::uint64_t>(flit_phits_));
-  ser::write_u64(os, static_cast<std::uint64_t>(flits_per_packet_));
-  ser::write_u64(os, ring_size_);
-  ser::write_u8(os, static_cast<std::uint8_t>(cfg_.flow));
-  ser::write_u8(os, onoff_ ? 1 : 0);
-  // v2: engine mode. The two steppers draw from different RNG streams, so
-  // resuming a sharded run under exact (or vice versa) would silently fork
-  // the trajectory.
-  ser::write_u8(os, sharded_ ? 1 : 0);
-  ser::write_string(os, routing_.name());
+void Engine::save_checkpoint(std::ostream& os) const { ser::save(os, *this); }
 
-  // --- clock, RNG, counters ---------------------------------------------
-  ser::write_u64(os, now_);
-  ser::write_u64(os, last_progress_);
-  ser::write_u8(os, deadlock_ ? 1 : 0);
-  std::uint64_t rng_state[Rng::kStateWords];
-  rng_.save_state(rng_state);
-  for (const auto w : rng_state) ser::write_u64(os, w);
-  ser::write_f64(os, injection_.load);
-  ser::write_u64(os, delivered_packets_);
-  ser::write_u64(os, delivered_phits_);
-  for (const auto s : phits_sent_) ser::write_u64(os, s);
-  ser::write_u64(os, dead_dst_drops_);
+void Engine::restore(std::istream& is) { ser::load(is, *this); }
 
-  // --- packet pool: one slab in the stream, renumbered when sharded ------
-  std::vector<PacketId> live;  // in stream order
-  for (std::size_t s = 0; s < pool_.num_slabs(); ++s) {
-    std::vector<std::uint8_t> is_live(pool_.handed_out(s), 1);
-    for (const PacketId id : pool_.free_list(s)) {
-      is_live[pool_.index_in_slab(id)] = 0;
-    }
-    for (std::size_t n = 0; n < is_live.size(); ++n) {
-      if (is_live[n]) live.push_back(pool_.id_at(s, n));
-    }
-  }
-  std::vector<PacketId> stream_id;  // pool id -> stream id (sharded mode)
-  if (sharded_ && !live.empty()) {
-    std::sort(live.begin(), live.end(), [&](PacketId a, PacketId b) {
-      return std::tie(pool_[a].injected, pool_[a].src) <
-             std::tie(pool_[b].injected, pool_[b].src);
-    });
-    const auto max_id =
-        static_cast<std::size_t>(*std::max_element(live.begin(), live.end()));
-    stream_id.assign(max_id + 1, kInvalid);
-    for (std::size_t n = 0; n < live.size(); ++n) {
-      stream_id[static_cast<std::size_t>(live[n])] = static_cast<PacketId>(n);
-    }
-  }
-  const auto sid = [&](PacketId id) {
-    return sharded_ && id != kInvalid ? stream_id[static_cast<std::size_t>(id)]
-                                      : id;
-  };
-  ser::write_u64(os, 1);  // slab count
-  if (sharded_) {
-    ser::write_u64(os, live.size());
-    ser::write_u64(os, 0);  // dense: no free slots
-  } else {
-    ser::write_u64(os, pool_.handed_out(0));
-    ser::write_u64(os, pool_.free_list(0).size());
-    for (const PacketId id : pool_.free_list(0)) ser::write_i32(os, id);
-  }
-  for (const PacketId id : live) write_packet(os, pool_[id]);
-
-  // --- router state: input/output VCs, per-port scan state --------------
-  for (RouterId r = 0; r < topo_.num_routers(); ++r) {
-    const FlitSlab& slab = router_flit_slab(r);
-    for (PortId p = 0; p < ports_; ++p) {
-      for (VcId v = 0; v < vc_count(p); ++v) {
-        const InputVc& ivc = in_vcs_[vc_index(r, p, v)];
-        ser::write_u32(os, static_cast<std::uint32_t>(ivc.fifo.size()));
-        ivc.fifo.visit(slab, [&](Flit f) {
-          f.packet = sid(f.packet);
-          write_flit(os, f);
-        });
-        ser::write_i32(os, ivc.occupancy_phits);
-        ser::write_i32(os, ivc.bound_out_port);
-        ser::write_i32(os, ivc.bound_out_vc);
-        ser::write_u64(os, ivc.head_since);
-        const OutputVc& ovc = out_vcs_[vc_index(r, p, v)];
-        ser::write_i32(os, ovc.credits_phits);
-        ser::write_i32(os, sid(ovc.bound_packet));
-      }
-      ser::write_u64(os, out_busy_until_[port_index(r, p)]);
-      ser::write_u32(os, in_scan_[port_index(r, p)]);
-      ser::write_u32(os, out_rr_[port_index(r, p)]);
-    }
-  }
-
-  // --- terminal injection state -----------------------------------------
-  for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
-    const TerminalState& ts = terminals_[static_cast<std::size_t>(t)];
-    ser::write_u64(os, ts.pending_created.size());
-    ts.pending_created.for_each(
-        [&](const Cycle c) { ser::write_u64(os, c); });
-    if (has_forced_dst_) {
-      // v4: forced entries are (created, dst, flags) triples; the three
-      // parallel queues always hold the same count, serialized
-      // queue-major.
-      const auto ti = static_cast<std::size_t>(t);
-      const auto& fd = forced_dst_[ti];
-      ser::write_u64(os, fd.size());
-      fd.for_each([&](const NodeId d) { ser::write_i32(os, d); });
-      forced_created_[ti].for_each(
-          [&](const Cycle c) { ser::write_u64(os, c); });
-      forced_flags_[ti].for_each(
-          [&](const std::uint8_t f) { ser::write_u8(os, f); });
-    } else {
-      ser::write_u64(os, 0);
-    }
-    ser::write_u64(os, ts.burst_remaining);
-    ser::write_u64(os, ts.link_busy_until);
-    ser::write_i32(os, ts.inflight_phits);
-  }
-  if (onoff_) {
-    for (const std::uint8_t s : onoff_state_) ser::write_u8(os, s);
-  }
-
-  // --- workload state (v4) ----------------------------------------------
-  ser::write_u8(os, has_terminal_loads_ ? 1 : 0);
-  if (has_terminal_loads_) {
-    for (const double p : terminal_gen_prob_) ser::write_f64(os, p);
-  }
-  ser::write_u8(os, workload_ != nullptr ? 1 : 0);
-  ser::write_u64(os, workload_ != nullptr ? workload_->cursor() : 0);
-
-  // --- timing wheels: one triple, every shard's events per slot -----------
-  const auto by_key = [](const auto& x, const auto& y) {
-    return std::tie(x.router, x.port, x.vc) < std::tie(y.router, y.port, y.vc);
-  };
-  std::vector<FlitEvent> flits;
-  std::vector<CreditEvent> credits;
-  for (std::size_t slot = 0; slot < ring_size_; ++slot) {
-    flits.clear();
-    credits.clear();
-    std::size_t deliveries = 0;
-    for (const Shard& s : shards_) {
-      s.flit_ring.visit(slot,
-                        [&](const FlitEvent& ev) { flits.push_back(ev); });
-      s.credit_ring.visit(
-          slot, [&](const CreditEvent& ev) { credits.push_back(ev); });
-      deliveries += s.delivery_ring.slot_size(slot);
-    }
-    if (sharded_) {
-      std::stable_sort(flits.begin(), flits.end(), by_key);
-      std::stable_sort(credits.begin(), credits.end(), by_key);
-    }
-    ser::write_u32(os, static_cast<std::uint32_t>(flits.size()));
-    for (FlitEvent ev : flits) {
-      ser::write_i32(os, ev.router);
-      ser::write_i32(os, ev.port);
-      ser::write_i32(os, ev.vc);
-      ev.flit.packet = sid(ev.flit.packet);
-      write_flit(os, ev.flit);
-    }
-    ser::write_u32(os, static_cast<std::uint32_t>(credits.size()));
-    for (const CreditEvent& ev : credits) {
-      ser::write_i32(os, ev.router);
-      ser::write_i32(os, ev.port);
-      ser::write_i32(os, ev.vc);
-    }
-    ser::write_u32(os, static_cast<std::uint32_t>(deliveries));
-    for (const Shard& s : shards_) {
-      s.delivery_ring.visit(
-          slot, [&](const PacketId id) { ser::write_i32(os, sid(id)); });
-    }
-  }
-
-  // --- routing mechanism state ------------------------------------------
-  routing_.save_state(os);
-  ser::write_u64(os, kEndSentinel);
-}
-
-void Engine::restore(std::istream& is) {
-  if (now_ != 0 || pool_.in_use() != 0) {
+template <class Ar>
+void Engine::transfer(Ar& ar) {
+  constexpr bool kLoad = Ar::kLoading;
+  if (kLoad && (now_ != 0 || pool_.in_use() != 0)) {
     throw std::logic_error(
         "Engine::restore requires a freshly-constructed engine (same "
         "config as the checkpointed run)");
   }
+  const RouterId routers = topo_.num_routers();
+  const NodeId terminals = topo_.num_terminals();
 
-  // --- header ------------------------------------------------------------
-  char magic[8];
-  ser::read_bytes(is, magic, sizeof(magic), "checkpoint magic");
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  // --- versioned, shape-checked header ----------------------------------
+  std::uint64_t magic = kMagic;
+  ar.u64(magic, "checkpoint magic");
+  if (magic != kMagic) {
     throw std::runtime_error(
         "not a dfsim engine checkpoint (bad magic bytes)");
   }
-  const std::uint32_t version = ser::read_u32(is, "checkpoint version");
+  std::uint32_t version = kCheckpointVersion;
+  ar.u32(version, "checkpoint version");
   if (version != kCheckpointVersion) {
     throw std::runtime_error(
         "checkpoint format version " + std::to_string(version) +
@@ -324,42 +120,45 @@ void Engine::restore(std::istream& is) {
         std::to_string(kCheckpointVersion) +
         "; re-run the checkpointed experiment");
   }
-  ser::expect_u64(is, static_cast<std::uint64_t>(topo_.num_routers()),
-                  "router count");
-  ser::expect_u64(is, static_cast<std::uint64_t>(topo_.num_terminals()),
-                  "terminal count");
-  ser::expect_u64(is, static_cast<std::uint64_t>(ports_),
-                  "ports per router");
-  ser::expect_u64(is, static_cast<std::uint64_t>(vc_stride_), "VC stride");
-  ser::expect_u64(is, static_cast<std::uint64_t>(flit_phits_),
-                  "flit phits");
-  ser::expect_u64(is, static_cast<std::uint64_t>(flits_per_packet_),
-                  "flits per packet");
-  ser::expect_u64(is, ring_size_, "timing-wheel size");
-  const std::uint8_t flow = ser::read_u8(is, "flow control");
+  ar.expect(static_cast<std::uint64_t>(routers), "router count");
+  ar.expect(static_cast<std::uint64_t>(terminals), "terminal count");
+  ar.expect(static_cast<std::uint64_t>(ports_), "ports per router");
+  ar.expect(static_cast<std::uint64_t>(vc_stride_), "VC stride");
+  ar.expect(static_cast<std::uint64_t>(flit_phits_), "flit phits");
+  ar.expect(static_cast<std::uint64_t>(flits_per_packet_),
+            "flits per packet");
+  ar.expect(ring_size_, "timing-wheel size");
+  auto flow = static_cast<std::uint8_t>(cfg_.flow);
+  ar.u8(flow, "flow control");
   if (flow != static_cast<std::uint8_t>(cfg_.flow)) {
     throw std::runtime_error(
         "checkpoint mismatch: flow-control discipline differs from this "
         "configuration");
   }
-  const std::uint8_t onoff = ser::read_u8(is, "onoff flag");
-  if ((onoff != 0) != onoff_) {
+  bool onoff = onoff_;
+  ar.u8(onoff, "onoff flag");
+  if (onoff != onoff_) {
     throw std::runtime_error(
         "checkpoint mismatch: Markov ON/OFF injection differs from this "
         "configuration");
   }
-  const std::uint8_t sharded = ser::read_u8(is, "engine mode");
-  if ((sharded != 0) != sharded_) {
+  // v2: engine mode. The two steppers draw from different RNG streams, so
+  // resuming a sharded run under exact (or vice versa) would silently fork
+  // the trajectory.
+  bool sharded = sharded_;
+  ar.u8(sharded, "engine mode");
+  if (sharded != sharded_) {
     throw std::runtime_error(
         std::string("checkpoint mismatch: the run was checkpointed under "
                     "the ") +
-        (sharded != 0 ? "sharded" : "exact") +
+        (sharded ? "sharded" : "exact") +
         " engine but this configuration uses the " +
         (sharded_ ? "sharded" : "exact") +
         " engine (the two draw different RNG streams; set engine= to "
         "match)");
   }
-  const std::string routing_name = ser::read_string(is, "routing name");
+  std::string routing_name = routing_.name();
+  ar.str(routing_name, "routing name");
   if (routing_name != routing_.name()) {
     throw std::runtime_error(
         "checkpoint mismatch: routing mechanism is \"" + routing_name +
@@ -368,182 +167,209 @@ void Engine::restore(std::istream& is) {
   }
 
   // --- clock, RNG, counters ---------------------------------------------
-  now_ = ser::read_u64(is, "cycle clock");
-  last_progress_ = ser::read_u64(is, "last progress cycle");
-  deadlock_ = ser::read_u8(is, "deadlock flag") != 0;
+  ar.u64(now_, "cycle clock");
+  ar.u64(last_progress_, "last progress cycle");
+  ar.u8(deadlock_, "deadlock flag");
   std::uint64_t rng_state[Rng::kStateWords];
-  for (auto& w : rng_state) w = ser::read_u64(is, "rng state");
-  rng_.set_state(rng_state);
-  // Re-derives gen_probability_ (and the ON/OFF duty compensation) with
-  // the same arithmetic the original run used — bit-identical draws.
-  set_offered_load(ser::read_f64(is, "offered load"));
-  delivered_packets_ = ser::read_u64(is, "delivered packets");
-  delivered_phits_ = ser::read_u64(is, "delivered phits");
-  for (auto& s : phits_sent_) s = ser::read_u64(is, "phits sent");
-  dead_dst_drops_ = ser::read_u64(is, "dead destination drops");
+  rng_.save_state(rng_state);
+  for (auto& w : rng_state) ar.u64(w, "rng state");
+  double load = injection_.load;
+  ar.f64(load, "offered load");
+  if constexpr (kLoad) {
+    rng_.set_state(rng_state);
+    // Re-derives gen_probability_ (and the ON/OFF duty compensation) with
+    // the same arithmetic the original run used — bit-identical draws.
+    set_offered_load(load);
+  }
+  ar.u64(delivered_packets_, "delivered packets");
+  ar.u64(delivered_phits_, "delivered phits");
+  for (auto& s : phits_sent_) ar.u64(s, "phits sent");
+  ar.u64(dead_dst_drops_, "dead destination drops");
 
-  // --- packet pool -------------------------------------------------------
-  ser::expect_u64(is, 1, "packet-pool slab count");
-  const std::uint64_t handed_out = ser::read_u64(is, "pool slot count");
-  const std::uint64_t free_count = ser::read_u64(is, "pool free count");
+  // --- packet pool: one slab in the stream, renumbered when sharded ------
+  // `live` lists the pool ids in stream order. A one-slab pool keeps the
+  // stream's numbering (its ids are the slot numbers); several slabs take
+  // the packets densely numbered, each from the slab of the shard holding
+  // its source terminal.
+  std::vector<PacketId> live;
+  std::vector<PacketId> free_list;
+  std::vector<PacketId> stream_id;  // save, sharded: pool id -> stream id
+  std::uint64_t slots = 0;
+  if constexpr (!kLoad) {
+    live = pool_.live_ids();
+    if (sharded_ && !live.empty()) {
+      std::ranges::sort(live, {}, [&](PacketId id) {
+        return std::tie(pool_[id].injected, pool_[id].src);
+      });
+      stream_id.assign(static_cast<std::size_t>(std::ranges::max(live)) + 1,
+                       kInvalid);
+      for (std::size_t n = 0; n < live.size(); ++n) {
+        stream_id[static_cast<std::size_t>(live[n])] = static_cast<PacketId>(n);
+      }
+    }
+    slots = sharded_ ? live.size() : pool_.handed_out(0);
+    if (!sharded_) free_list = pool_.free_list(0);
+  }
+  ar.expect(1, "packet-pool slab count");
+  ar.u64(slots, "pool slot count");
+  std::uint64_t free_count = free_list.size();
+  ar.u64(free_count, "pool free count");
   // Ids are 31-bit, so no stream can number more than 2^31 slots.
-  if (handed_out > (std::uint64_t{1} << 31) || free_count > handed_out) {
+  if (slots > (std::uint64_t{1} << 31) || free_count > slots) {
     throw std::runtime_error(
         "checkpoint corrupt: packet-pool free list larger than the pool");
   }
-  std::vector<PacketId> free_list(static_cast<std::size_t>(free_count));
-  std::vector<std::uint8_t> live(static_cast<std::size_t>(handed_out), 1);
-  for (auto& id : free_list) {
-    id = ser::read_i32(is, "pool free id");
-    if (id < 0 || static_cast<std::uint64_t>(id) >= handed_out) {
-      throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free id out of range");
-    }
-    std::uint8_t& bit = live[static_cast<std::size_t>(id)];
-    if (bit == 0) {
+  const auto bound = static_cast<std::int64_t>(slots);
+  free_list.resize(static_cast<std::size_t>(free_count));
+  std::vector<std::uint8_t> freed(static_cast<std::size_t>(slots), 0);
+  for (PacketId& id : free_list) {
+    ar.index(id, bound, "packet-pool free id");
+    if (std::exchange(freed[static_cast<std::size_t>(id)], 1) != 0) {
       throw std::runtime_error(
           "checkpoint corrupt: packet-pool free id listed twice");
     }
-    bit = 0;
   }
-  // A one-slab pool takes the stream's numbering as is (its ids are the
-  // slot numbers). Several slabs take the packets densely numbered, each
-  // from the slab of the shard holding its source terminal, and map the
-  // stream's ids to the ones handed out.
-  std::vector<PacketId> pool_id;  // stream id -> pool id (several slabs)
-  if (pool_.num_slabs() == 1) {
-    pool_.restore_slab(0, static_cast<std::size_t>(handed_out),
+  const bool one_slab = pool_.num_slabs() == 1;
+  if (kLoad && one_slab) {
+    pool_.restore_slab(0, static_cast<std::size_t>(slots),
                        std::move(free_list));
-    for (std::size_t n = 0; n < live.size(); ++n) {
-      if (live[n]) pool_[static_cast<PacketId>(n)] = read_packet(is);
-    }
-  } else {
-    if (free_count != 0) {
-      throw std::runtime_error(
-          "checkpoint corrupt: packet pool not densely numbered");
-    }
-    pool_id.resize(live.size());
-    for (PacketId& id : pool_id) {
-      const Packet pkt = read_packet(is);
-      if (pkt.src < 0 || pkt.src >= topo_.num_terminals()) {
-        throw std::runtime_error(
-            "checkpoint corrupt: packet source out of range");
+    live = pool_.live_ids();
+  } else if (kLoad && free_count != 0) {
+    throw std::runtime_error(
+        "checkpoint corrupt: packet pool not densely numbered");
+  }
+  for (std::size_t n = 0; n < slots - free_count; ++n) {
+    Packet p = kLoad ? Packet{} : pool_[live[n]];
+    transfer_packet(ar, p, terminals);
+    if constexpr (kLoad) {
+      if (!one_slab) {
+        live.push_back(pool_.alloc(shard_of(topo_.router_of_terminal(p.src))));
       }
-      id = pool_.alloc(shard_of(topo_.router_of_terminal(pkt.src)));
-      pool_[id] = pkt;
+      pool_[live[n]] = p;
     }
   }
-  const auto pid = [&](PacketId id) {
-    if (id == kInvalid) return id;
-    if (id < 0 || static_cast<std::uint64_t>(id) >= handed_out) {
-      throw std::runtime_error("checkpoint corrupt: packet id out of range");
+  // A packet id as it travels: the stream's numbering on save, checked
+  // and mapped to the pool's on restore.
+  const auto packet_id = [&](PacketId& id, bool nullable, const char* what) {
+    PacketId s = id;
+    if (!kLoad && sharded_ && id != kInvalid) {
+      s = stream_id[static_cast<std::size_t>(id)];
     }
-    return pool_id.empty() ? id : pool_id[static_cast<std::size_t>(id)];
+    nullable ? ar.index_or_none(s, bound, what) : ar.index(s, bound, what);
+    if (kLoad) {
+      id = s == kInvalid || one_slab ? s : live[static_cast<std::size_t>(s)];
+    }
   };
-  const auto router_shard = [&](RouterId r) -> Shard& {
-    if (r < 0 || r >= topo_.num_routers()) {
-      throw std::runtime_error("checkpoint corrupt: event router out of range");
-    }
-    return shards_[shard_of(r)];
+  const auto transfer_flit = [&](Flit& f) {
+    packet_id(f.packet, false, "flit packet id");
+    ar.index(f.index, flits_per_packet_, "flit index");
+    ar.u8(f.head, "flit head flag");
+    ar.u8(f.tail, "flit tail flag");
   };
 
-  // --- router state ------------------------------------------------------
-  for (RouterId r = 0; r < topo_.num_routers(); ++r) {
+  // Restore recomputes the worklists as their minimal consistent sets while
+  // the state streams in: a stale (lazily cleared) bit's only effect was a
+  // skip-and-clear scan, so dropping it changes no decision.
+  if constexpr (kLoad) {
+    std::fill_n(occupied_ports_,
+                static_cast<std::size_t>(routers) *
+                    static_cast<std::size_t>(occ_words_),
+                0);
+    std::fill_n(nonempty_vcs_, routers, 0);
+    std::fill(pending_terminals_.begin(), pending_terminals_.end(), 0);
+  }
+
+  // --- router state: input/output VCs, per-port scan state --------------
+  for (RouterId r = 0; r < routers; ++r) {
     FlitSlab& slab = router_flit_slab(r);
     for (PortId p = 0; p < ports_; ++p) {
       const auto cap_flits =
           static_cast<std::uint32_t>(port_capacity(p) / flit_phits_);
       for (VcId v = 0; v < vc_count(p); ++v) {
-        const std::size_t vidx = vc_index(r, p, v);
-        InputVc& ivc = in_vcs_[vidx];
-        const std::uint32_t nflits = ser::read_u32(is, "input VC depth");
-        if (nflits > cap_flits) {
+        InputVc& ivc = in_vcs_[vc_index(r, p, v)];
+        auto depth = static_cast<std::uint32_t>(ivc.fifo.size());
+        ar.u32(depth, "input VC depth");
+        if (depth > cap_flits) {
           throw std::runtime_error(
               "checkpoint corrupt: input VC holds more flits than its "
               "buffer capacity");
         }
-        for (std::uint32_t k = 0; k < nflits; ++k) {
-          Flit f = read_flit(is);
-          f.packet = pid(f.packet);
-          ivc.fifo.push_back(slab, f);
+        if constexpr (kLoad) {
+          for (std::uint32_t k = 0; k < depth; ++k) {
+            Flit f;
+            transfer_flit(f);
+            ivc.fifo.push_back(slab, f);
+          }
+        } else {
+          ivc.fifo.visit(slab, [&](Flit f) { transfer_flit(f); });
         }
-        ivc.occupancy_phits = ser::read_i32(is, "input VC occupancy");
-        ivc.bound_out_port =
-            static_cast<std::int16_t>(ser::read_i32(is, "VC bound port"));
-        ivc.bound_out_vc =
-            static_cast<std::int16_t>(ser::read_i32(is, "VC bound vc"));
-        ivc.head_since = ser::read_u64(is, "VC head since");
-        OutputVc& ovc = out_vcs_[vidx];
-        ovc.credits_phits = ser::read_i32(is, "output VC credits");
-        ovc.bound_packet = pid(ser::read_i32(is, "output VC bound packet"));
+        if (kLoad && depth > 0) ++nonempty_vcs_[static_cast<std::size_t>(r)];
+        ar.i32(ivc.occupancy_phits, "input VC occupancy");
+        ar.index_or_none(ivc.bound_out_port, ports_, "VC bound port");
+        ar.index_or_none(ivc.bound_out_vc, vc_stride_, "VC bound vc");
+        ar.u64(ivc.head_since, "VC head since");
+        OutputVc& ovc = out_vcs_[vc_index(r, p, v)];
+        ar.i32(ovc.credits_phits, "output VC credits");
+        packet_id(ovc.bound_packet, true, "output VC bound packet");
       }
-      out_busy_until_[port_index(r, p)] =
-          ser::read_u64(is, "port busy-until");
-      in_scan_[port_index(r, p)] = ser::read_u32(is, "port scan word");
-      out_rr_[port_index(r, p)] =
-          static_cast<std::uint16_t>(ser::read_u32(is, "port RR pointer"));
+      const std::size_t pi = port_index(r, p);
+      ar.u64(out_busy_until_[pi], "port busy-until");
+      ar.u32(in_scan_[pi], "port scan word");
+      ar.u32(out_rr_[pi], "port RR pointer");
+      if (kLoad && (in_scan_[pi] >> 16) != 0) set_occupied(r, p);
     }
   }
 
-  // --- terminals ---------------------------------------------------------
-  forced_dst_.clear();
-  forced_created_.clear();
-  forced_flags_.clear();
-  has_forced_dst_ = false;
-  for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
-    TerminalState& ts = terminals_[static_cast<std::size_t>(t)];
-    ts.pending_created = {};
-    const std::uint64_t npending = ser::read_u64(is, "source queue depth");
-    for (std::uint64_t k = 0; k < npending; ++k) {
-      ts.pending_created.push_back(ser::read_u64(is, "source queue entry"));
-    }
-    const std::uint64_t nforced = ser::read_u64(is, "forced dst depth");
-    if (nforced > 0 && !has_forced_dst_) {
-      const auto n = static_cast<std::size_t>(topo_.num_terminals());
-      forced_dst_.resize(n);
-      forced_created_.resize(n);
-      forced_flags_.resize(n);
-      has_forced_dst_ = true;
-    }
+  // --- terminal injection state -----------------------------------------
+  for (NodeId t = 0; t < terminals; ++t) {
     const auto ti = static_cast<std::size_t>(t);
-    for (std::uint64_t k = 0; k < nforced; ++k) {
-      forced_dst_[ti].push_back(ser::read_i32(is, "forced dst entry"));
+    TerminalState& ts = terminals_[ti];
+    std::uint64_t pending = ts.pending_created.size();
+    ar.u64(pending, "source queue depth");
+    transfer_queue<Ar>(ts.pending_created, pending,
+                       [&](Cycle& c) { ar.u64(c, "source queue entry"); });
+    // v4: forced entries are (created, dst, flags) triples; the three
+    // parallel queues always hold the same count, serialized queue-major.
+    std::uint64_t forced = has_forced_dst_ ? forced_dst_[ti].size() : 0;
+    ar.u64(forced, "forced dst depth");
+    if (forced > 0) {
+      ensure_forced_queues();  // a no-op on save
+      transfer_queue<Ar>(forced_dst_[ti], forced,
+                         [&](NodeId& d) { ar.i32(d, "forced dst entry"); });
+      transfer_queue<Ar>(forced_created_[ti], forced, [&](Cycle& c) {
+        ar.u64(c, "forced created entry");
+      });
+      transfer_queue<Ar>(forced_flags_[ti], forced, [&](std::uint8_t& f) {
+        ar.u8(f, "forced flags entry");
+      });
     }
-    for (std::uint64_t k = 0; k < nforced; ++k) {
-      forced_created_[ti].push_back(
-          ser::read_u64(is, "forced created entry"));
-    }
-    for (std::uint64_t k = 0; k < nforced; ++k) {
-      forced_flags_[ti].push_back(ser::read_u8(is, "forced flags entry"));
-    }
-    ts.burst_remaining = ser::read_u64(is, "burst budget");
-    ts.link_busy_until = ser::read_u64(is, "terminal link busy");
-    ts.inflight_phits = ser::read_i32(is, "terminal inflight phits");
+    ar.u64(ts.burst_remaining, "burst budget");
+    ar.u64(ts.link_busy_until, "terminal link busy");
+    ar.i32(ts.inflight_phits, "terminal inflight phits");
+    if (kLoad && terminal_has_work(t, ts)) mark_terminal_pending(t);
   }
   if (onoff_) {
-    for (auto& s : onoff_state_) s = ser::read_u8(is, "onoff chain state");
+    for (auto& s : onoff_state_) ar.u8(s, "onoff chain state");
   }
 
   // --- workload state (v4) ----------------------------------------------
-  if (ser::read_u8(is, "terminal loads flag") != 0) {
-    // The stream carries terminal_gen_prob_ — the per-terminal generation
-    // PROBABILITIES, already divided by packet_phits. Assign them
-    // directly; routing through set_terminal_loads() would divide again.
-    const auto n = static_cast<std::size_t>(topo_.num_terminals());
-    terminal_gen_prob_.resize(n);
-    terminal_gen_threshold_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double p = ser::read_f64(is, "terminal load");
-      terminal_gen_prob_[i] = p;
-      terminal_gen_threshold_[i] =
-          p >= 1.0 ? ~0ULL
-                   : static_cast<std::uint64_t>(p * 18446744073709551616.0);
+  // The stream carries terminal_gen_prob_ — the per-terminal generation
+  // PROBABILITIES, already divided by packet_phits — so a restore assigns
+  // them directly; set_terminal_loads() would divide again.
+  ar.u8(has_terminal_loads_, "terminal loads flag");
+  if (has_terminal_loads_) {
+    if (kLoad) terminal_gen_prob_.resize(static_cast<std::size_t>(terminals));
+    for (double& p : terminal_gen_prob_) ar.f64(p, "terminal load");
+    if constexpr (kLoad) {
+      terminal_gen_threshold_.resize(terminal_gen_prob_.size());
+      std::ranges::transform(terminal_gen_prob_,
+                             terminal_gen_threshold_.begin(), gen_threshold);
     }
-    has_terminal_loads_ = true;
-  } else {
+  } else if constexpr (kLoad) {
     set_terminal_loads({});
   }
-  const bool had_workload = ser::read_u8(is, "workload flag") != 0;
+  bool had_workload = workload_ != nullptr;
+  ar.u8(had_workload, "workload flag");
   if (had_workload != (workload_ != nullptr)) {
     throw std::runtime_error(
         std::string("checkpoint mismatch: the run was checkpointed ") +
@@ -552,106 +378,112 @@ void Engine::restore(std::istream& is) {
         (workload_ != nullptr ? "with" : "without") +
         " one (set workload= to match)");
   }
-  const std::uint64_t trace_cursor = ser::read_u64(is, "trace cursor");
-  if (workload_ != nullptr) {
+  std::uint64_t trace_cursor = had_workload ? workload_->cursor() : 0;
+  ar.u64(trace_cursor, "trace cursor");
+  if (kLoad && had_workload) {
     workload_->set_cursor(trace_cursor);
     // Re-establish the eager queue allocation set_workload() guarantees:
     // the sharded stepper pushes message bodies from a parallel phase and
     // must never race a lazy resize.
-    if (!has_forced_dst_) {
-      const auto n = static_cast<std::size_t>(topo_.num_terminals());
-      forced_dst_.resize(n);
-      forced_created_.resize(n);
-      forced_flags_.resize(n);
-      has_forced_dst_ = true;
-    }
+    ensure_forced_queues();
   }
 
-  // --- timing wheels: each event to the shard holding its router --------
-  for (Shard& s : shards_) {
-    s.flit_ring.reset(ring_size_);
-    s.credit_ring.reset(ring_size_);
-    s.delivery_ring.reset(ring_size_);
+  // --- timing wheels: one triple, every shard's events per slot ----------
+  // Restore routes each event to the shard holding its router; ejection
+  // happens at the destination router, so a delivery belongs to the shard
+  // holding it.
+  std::vector<FlitEvent> flits;
+  std::vector<CreditEvent> credits;
+  std::vector<PacketId> deliveries;
+  if constexpr (kLoad) {
+    for (Shard& s : shards_) {
+      s.flit_ring.reset(ring_size_);
+      s.credit_ring.reset(ring_size_);
+      s.delivery_ring.reset(ring_size_);
+    }
   }
   for (std::size_t slot = 0; slot < ring_size_; ++slot) {
-    const std::uint32_t nf = ser::read_u32(is, "flit event count");
+    if constexpr (!kLoad) {
+      const auto by_key = [](const auto& x, const auto& y) {
+        return std::tie(x.router, x.port, x.vc) <
+               std::tie(y.router, y.port, y.vc);
+      };
+      flits.clear();
+      credits.clear();
+      deliveries.clear();
+      for (const Shard& s : shards_) {
+        s.flit_ring.visit(slot, [&](FlitEvent ev) { flits.push_back(ev); });
+        s.credit_ring.visit(slot,
+                            [&](CreditEvent ev) { credits.push_back(ev); });
+        s.delivery_ring.visit(slot,
+                              [&](PacketId id) { deliveries.push_back(id); });
+      }
+      if (sharded_) {
+        std::stable_sort(flits.begin(), flits.end(), by_key);
+        std::stable_sort(credits.begin(), credits.end(), by_key);
+      }
+    }
+    auto nf = static_cast<std::uint32_t>(flits.size());
+    ar.u32(nf, "flit event count");
     for (std::uint32_t k = 0; k < nf; ++k) {
-      FlitEvent ev;
-      ev.router = ser::read_i32(is, "flit event router");
-      ev.port =
-          static_cast<std::int16_t>(ser::read_i32(is, "flit event port"));
-      ev.vc = static_cast<std::int16_t>(ser::read_i32(is, "flit event vc"));
-      ev.flit = read_flit(is);
-      ev.flit.packet = pid(ev.flit.packet);
-      router_shard(ev.router).flit_ring.push(slot, ev);
+      FlitEvent ev = kLoad ? FlitEvent{} : flits[k];
+      ar.index(ev.router, routers, "flit event router");
+      ar.index(ev.port, ports_, "flit event port");
+      ar.index(ev.vc, vc_count(ev.port), "flit event vc");
+      transfer_flit(ev.flit);
+      if (kLoad) shards_[shard_of(ev.router)].flit_ring.push(slot, ev);
     }
-    const std::uint32_t nc = ser::read_u32(is, "credit event count");
+    auto nc = static_cast<std::uint32_t>(credits.size());
+    ar.u32(nc, "credit event count");
     for (std::uint32_t k = 0; k < nc; ++k) {
-      CreditEvent ev;
-      ev.router = ser::read_i32(is, "credit event router");
-      ev.port =
-          static_cast<std::int16_t>(ser::read_i32(is, "credit event port"));
-      ev.vc = static_cast<std::int16_t>(ser::read_i32(is, "credit event vc"));
-      router_shard(ev.router).credit_ring.push(slot, ev);
+      CreditEvent ev = kLoad ? CreditEvent{} : credits[k];
+      ar.index(ev.router, routers, "credit event router");
+      ar.index(ev.port, ports_, "credit event port");
+      ar.index(ev.vc, vc_count(ev.port), "credit event vc");
+      if (kLoad) shards_[shard_of(ev.router)].credit_ring.push(slot, ev);
     }
-    // Ejection happens at the destination router, so a delivery belongs
-    // to the shard holding it.
-    const std::uint32_t nd = ser::read_u32(is, "delivery event count");
+    auto nd = static_cast<std::uint32_t>(deliveries.size());
+    ar.u32(nd, "delivery event count");
     for (std::uint32_t k = 0; k < nd; ++k) {
-      const PacketId id = pid(ser::read_i32(is, "delivery event id"));
-      router_shard(topo_.router_of_terminal(pool_[id].dst))
-          .delivery_ring.push(slot, id);
+      PacketId id = kLoad ? kInvalid : deliveries[k];
+      packet_id(id, false, "delivery event id");
+      if (kLoad) {
+        shards_[shard_of(topo_.router_of_terminal(pool_[id].dst))]
+            .delivery_ring.push(slot, id);
+      }
     }
   }
 
   // --- routing mechanism state + end sentinel ----------------------------
-  routing_.restore_state(is);
-  if (ser::read_u64(is, "end sentinel") != kEndSentinel) {
+  if constexpr (kLoad) {
+    routing_.restore_state(ar.stream());
+  } else {
+    routing_.save_state(ar.stream());
+  }
+  std::uint64_t sentinel = kEndSentinel;
+  ar.u64(sentinel, "end sentinel");
+  if (sentinel != kEndSentinel) {
     throw std::runtime_error(
         "checkpoint corrupt: end sentinel mismatch (the stream is "
         "misaligned or was written by an incompatible routing mechanism)");
   }
-
-  // --- rebuild the derived state -----------------------------------------
-  // Retry-suppression caches restart cold: waking a provably-blocked head
-  // redoes a usability check that fails identically and draws nothing, so
-  // this is bit-identical to carrying the caches over.
-  const std::size_t num_ports =
-      static_cast<std::size_t>(topo_.num_routers()) *
-      static_cast<std::size_t>(ports_);
-  const std::size_t num_vcs = num_ports * static_cast<std::size_t>(vc_stride_);
-  std::fill_n(vc_sleep_until_, num_vcs, 0);
-  std::fill_n(port_wake_, num_ports, 0);
-  std::fill_n(head_hop_, num_vcs, kHeadUnknown);
-  std::fill_n(ovc_waiter_head_, num_vcs, -1);
-  std::fill_n(vc_waiter_next_, num_vcs, kNotWaiting);
-
-  // Worklists: recompute the minimal consistent sets. A stale (lazily
-  // cleared) bit's only effect was a skip-and-clear scan, so dropping it
-  // changes no decision.
-  std::fill_n(occupied_ports_,
-              static_cast<std::size_t>(topo_.num_routers()) *
-                  static_cast<std::size_t>(occ_words_),
-              0);
-  std::fill_n(nonempty_vcs_, topo_.num_routers(), 0);
-  for (RouterId r = 0; r < topo_.num_routers(); ++r) {
-    for (PortId p = 0; p < ports_; ++p) {
-      if ((in_scan_[port_index(r, p)] >> 16) != 0) {
-        set_occupied(r, p);
-      }
-      for (VcId v = 0; v < vc_count(p); ++v) {
-        if (!in_vcs_[vc_index(r, p, v)].fifo.empty()) {
-          ++nonempty_vcs_[static_cast<std::size_t>(r)];
-        }
-      }
-    }
-  }
-  std::fill(pending_terminals_.begin(), pending_terminals_.end(), 0);
-  for (NodeId t = 0; t < topo_.num_terminals(); ++t) {
-    if (terminal_has_work(t, terminals_[static_cast<std::size_t>(t)])) {
-      mark_terminal_pending(t);
-    }
+  if constexpr (kLoad) {
+    // Retry-suppression caches restart cold: waking a provably-blocked
+    // head redoes a usability check that fails identically and draws
+    // nothing, so this is bit-identical to carrying the caches over.
+    const std::size_t num_ports = static_cast<std::size_t>(routers) *
+                                  static_cast<std::size_t>(ports_);
+    const std::size_t num_vcs =
+        num_ports * static_cast<std::size_t>(vc_stride_);
+    std::fill_n(vc_sleep_until_, num_vcs, 0);
+    std::fill_n(port_wake_, num_ports, 0);
+    std::fill_n(head_hop_, num_vcs, kHeadUnknown);
+    std::fill_n(ovc_waiter_head_, num_vcs, -1);
+    std::fill_n(vc_waiter_next_, num_vcs, kNotWaiting);
   }
 }
+
+template void Engine::transfer(ser::Writer&);
+template void Engine::transfer(ser::Reader&);
 
 }  // namespace dfsim

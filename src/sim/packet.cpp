@@ -58,6 +58,18 @@ std::size_t PacketPool::footprint_bytes() const {
   return total;
 }
 
+std::vector<PacketId> PacketPool::live_ids() const {
+  std::vector<PacketId> live;
+  for (std::size_t s = 0; s < slabs_.size(); ++s) {
+    std::vector<std::uint8_t> is_live(slabs_[s].handed_out, 1);
+    for (const PacketId id : slabs_[s].free) is_live[index_in_slab(id)] = 0;
+    for (std::size_t n = 0; n < is_live.size(); ++n) {
+      if (is_live[n]) live.push_back(id_at(s, n));
+    }
+  }
+  return live;
+}
+
 void PacketPool::restore_slab(std::size_t slab, std::size_t handed_out,
                               std::vector<PacketId> free) {
   Slab& s = slabs_[slab];

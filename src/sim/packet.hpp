@@ -183,6 +183,8 @@ class PacketPool {
   const std::vector<PacketId>& free_list(std::size_t slab) const {
     return slabs_[slab].free;
   }
+  /// Ids of the packets in use, slab by slab in slot order.
+  std::vector<PacketId> live_ids() const;
   /// Rebuild slab `slab` as having handed out `handed_out` slots (all
   /// cleared) with `free` as its free list. Call on a freshly reset pool.
   void restore_slab(std::size_t slab, std::size_t handed_out,

@@ -224,10 +224,11 @@ std::uint64_t fnv1a(const std::string& bytes) {
 
 // Run checkpoint format pin (run v2 around engine v6): a phased pb run
 // with a two-job workload, cut in its second phase (a workload owns the
-// destinations and loads, so the phases switch neither). The stream holds the run header and schedule, accumulated
-// windows with per-job cuts, the collector's per-job section, pb's
-// published table and the engine section, and it must come back byte for
-// byte from a restore into a fresh run.
+// destinations and loads, so the phases switch neither). The stream holds
+// the run header and schedule, accumulated windows with per-job cuts, the
+// collector's per-job section, pb's published table and the engine
+// section, and it must come back byte for byte from a restore into a
+// fresh run.
 TEST(Checkpoint, RunStreamPinned) {
   SimConfig cfg = small_config();
   cfg.routing = "pb";
@@ -321,6 +322,22 @@ TEST(Checkpoint, CorruptTrailingBytesRejected) {
   std::string bytes = checkpoint_bytes(cfg, 700);
   bytes.back() = static_cast<char>(bytes.back() ^ 0x5a);
   expect_restore_error(cfg, bytes, "mismatch");
+}
+
+TEST(Checkpoint, CorruptHistogramLengthRejected) {
+  // The collector's latency histogram has 4096 buckets plus overflow. The
+  // u64 4097 appears twice in a stream, first as the collector's bucket
+  // count and then as the histogram's own length. A corrupt length must
+  // be rejected as a checkpoint error before anything is allocated.
+  const SimConfig cfg = small_config();
+  std::string bytes = checkpoint_bytes(cfg, 700);
+  const std::string buckets("\x01\x10\0\0\0\0\0\0", 8);
+  const std::size_t count_at = bytes.find(buckets);
+  ASSERT_NE(count_at, std::string::npos);
+  const std::size_t length_at = bytes.find(buckets, count_at + 8);
+  ASSERT_NE(length_at, std::string::npos);
+  bytes[length_at] = 0x02;  // 4098
+  expect_restore_error(cfg, bytes, "collector histogram");
 }
 
 TEST(Checkpoint, ConfigDriftRejectedNamingTheKnob) {

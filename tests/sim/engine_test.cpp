@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "../test_util.hpp"
 #include "traffic/pattern.hpp"
@@ -338,6 +339,77 @@ TEST(Engine, RestoreRejectsVcDeeperThanItsBuffer) {
     EXPECT_NE(std::string(e.what()).find("buffer capacity"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// Every stream value restore uses as an index is range-checked: a corrupt
+// timing-wheel event or VC binding must be rejected, not pushed into a
+// wheel that arrive_shard later indexes the VC arrays with.
+TEST(Engine, RestoreRejectsOutOfRangeIndices) {
+  const EngineConfig ec = small_vct();
+  DragonflyTopology topo(2);
+  auto routing = make_routing("minimal", topo, {});
+  UniformPattern pattern(topo);
+  InjectionProcess inj;
+  inj.load = 0.05;  // few live packets: a short stream ahead of the VCs
+  Engine engine(topo, ec, *routing, pattern, inj);
+  engine.run_until(60);
+  std::stringstream saved;
+  engine.save_checkpoint(saved);
+  const std::string bytes = saved.str();
+
+  const auto restore_error = [&](const std::string& stream) -> std::string {
+    Engine fresh(topo, ec, *routing, pattern, inj);
+    std::istringstream is(stream);
+    try {
+      fresh.restore(is);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // A stream cut at byte k fails while reading the field that byte k
+  // belongs to, so the first cut whose error names a field is where that
+  // field first starts. Only the timing-wheel fields name an "event", and
+  // they run up to the 8-byte end sentinel (minimal routing saves no
+  // state), so a bisection finds where the wheels start.
+  std::size_t lo = 0;
+  std::size_t hi = bytes.size() - 9;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (restore_error(bytes.substr(0, mid)).find("event") !=
+        std::string::npos) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const std::size_t wheels = lo;
+  const auto field_offset = [&](const std::string& field, std::size_t from) {
+    const std::string msg = "checkpoint truncated while reading " + field;
+    for (std::size_t k = from; k < bytes.size(); ++k) {
+      if (restore_error(bytes.substr(0, k)) == msg) return k;
+    }
+    ADD_FAILURE() << "no " << field << " in the stream";
+    return bytes.size();
+  };
+
+  const std::pair<std::string, std::size_t> fields[] = {
+      {"flit event port", wheels},
+      {"credit event vc", wheels},
+      {"VC bound port", 0},
+  };
+  for (const auto& [field, from] : fields) {
+    SCOPED_TRACE(field);
+    const std::size_t at = field_offset(field, from);
+    ASSERT_LT(at + 4, bytes.size());
+    std::string corrupt = bytes;
+    corrupt[at] = 0x70;  // 0x1770 = 6000: past every router, port and VC
+    corrupt[at + 1] = 0x17;
+    corrupt[at + 2] = 0;
+    corrupt[at + 3] = 0;
+    EXPECT_EQ(restore_error(corrupt),
+              "checkpoint corrupt: " + field + " out of range");
   }
 }
 
