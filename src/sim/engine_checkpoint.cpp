@@ -125,8 +125,7 @@ void Engine::transfer(Ar& ar) {
   ar.expect(static_cast<std::uint64_t>(ports_), "ports per router");
   ar.expect(static_cast<std::uint64_t>(vc_stride_), "VC stride");
   ar.expect(static_cast<std::uint64_t>(flit_phits_), "flit phits");
-  ar.expect(static_cast<std::uint64_t>(flits_per_packet_),
-            "flits per packet");
+  ar.expect(static_cast<std::uint64_t>(flits_per_packet_), "flits per packet");
   ar.expect(ring_size_, "timing-wheel size");
   auto flow = static_cast<std::uint8_t>(cfg_.flow);
   ar.u8(flow, "flow control");

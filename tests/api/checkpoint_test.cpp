@@ -234,8 +234,7 @@ TEST(Checkpoint, RunStreamPinned) {
   cfg.routing = "pb";
   cfg.workload = "jobs:2:alltoall:size=1-3:reply=1|ring@0.2";
   cfg.load = 0.15;
-  const std::vector<Phase> phases = {{800, 2, "", -1.0},
-                                     {800, 2, "", -1.0}};
+  const std::vector<Phase> phases = {{800, 2, "", -1.0}, {800, 2, "", -1.0}};
   SimulationRun a = SimulationRun::phased(cfg, phases);
   a.advance(1700);
   std::stringstream saved;
