@@ -379,9 +379,7 @@ struct SimulationRun::Impl {
     }
 
     ar.u8(stage, "run stage");
-    if (stage > Stage::kDone) {
-      throw std::runtime_error("checkpoint corrupt: unknown run stage");
-    }
+    ser::check(stage <= Stage::kDone, "unknown run stage");
     ar.u64(phase_idx, "run phase index");
     ar.i32(window_idx, "run window index");
     ar.u8(phase_entered, "run phase-entered flag");
@@ -393,9 +391,7 @@ struct SimulationRun::Impl {
     ar.str(active_pattern_name, "run active pattern name");
     ar.f64(active_load, "run active load");
     ar.u64(burst_expected, "run burst target");
-    if (phase_idx > phases.size()) {
-      throw std::runtime_error("checkpoint corrupt: phase index out of range");
-    }
+    ser::check(phase_idx <= phases.size(), "phase index out of range");
 
     const int jobs = hx.collector.num_jobs();
     std::uint64_t nwindows = windows.size();

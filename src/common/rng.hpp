@@ -77,15 +77,12 @@ class Rng {
     return Rng(splitmix64(sm));
   }
 
-  // --- checkpoint support -----------------------------------------------
-  // The four xoshiro words ARE the stream cursor: saving and restoring
-  // them resumes the draw sequence exactly where it left off.
-  static constexpr int kStateWords = 4;
-  void save_state(std::uint64_t out[kStateWords]) const {
-    for (int i = 0; i < kStateWords; ++i) out[i] = state_[i];
-  }
-  void set_state(const std::uint64_t in[kStateWords]) {
-    for (int i = 0; i < kStateWords; ++i) state_[i] = in[i];
+  /// Checkpoint fields (see common/serialize.hpp). The four xoshiro words
+  /// ARE the stream cursor: restoring them resumes the draw sequence
+  /// exactly where it left off.
+  template <class Ar>
+  void transfer(Ar& ar) {
+    for (std::uint64_t& w : state_) ar.u64(w, "rng state");
   }
 
  private:

@@ -208,6 +208,12 @@ class Reader {
   std::istream& is_;
 };
 
+/// Throws "checkpoint corrupt: <what>" unless `ok`: for a stream value that
+/// contradicts the state already read.
+inline void check(bool ok, const char* what) {
+  if (!ok) throw std::runtime_error(std::string("checkpoint corrupt: ") + what);
+}
+
 /// Save `obj` through its transfer(). transfer() is non-const because the
 /// Reader fills the same fields; the Writer only reads them.
 template <class T>

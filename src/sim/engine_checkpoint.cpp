@@ -3,7 +3,10 @@
 //
 // Engine::transfer names every field once; save_checkpoint runs it with a
 // ser::Writer and restore with a ser::Reader (common/serialize.hpp), which
-// checks every stream value it will use as an index or a size. Saved: the
+// checks every stream value it will use as an index or a size; restore
+// also checks the values that must agree with what it has already read
+// (route state against the packet's endpoints, flit head/tail flags
+// against the flit index, a port's scan word against its VCs). Saved: the
 // clock, the RNG cursor, every input-VC FIFO, credits and wormhole
 // bindings, switch round-robin pointers, the live packets, per-terminal
 // source queues / burst budgets / ON/OFF chains, the timing wheels'
@@ -48,9 +51,12 @@ namespace {
 constexpr std::uint64_t kMagic = ser::magic("DFENGCK\n");
 constexpr std::uint64_t kEndSentinel = 0xdf51aced0c0ffee1ULL;
 
-void transfer_packet(auto& ar, Packet& p, NodeId terminals) {
-  ar.index(p.src, terminals, "packet source");
-  ar.index(p.dst, terminals, "packet destination");
+/// Packet fields. Routing uses the route state as topology indices, so
+/// restore checks them against the packet's endpoints.
+void transfer_packet(auto& ar, Packet& p, const DragonflyTopology& topo,
+                     int vc_stride) {
+  ar.index(p.src, topo.num_terminals(), "packet source");
+  ar.index(p.dst, topo.num_terminals(), "packet destination");
   ar.i32(p.size_phits, "packet size");
   ar.u64(p.created, "packet created cycle");
   ar.u64(p.injected, "packet injected cycle");
@@ -58,17 +64,23 @@ void transfer_packet(auto& ar, Packet& p, NodeId terminals) {
   ar.i32(rs.dst_router, "route dst router");
   ar.i32(rs.dst_group, "route dst group");
   ar.i32(rs.src_group, "route src group");
-  ar.i32(rs.inter_group, "route inter group");
+  ar.index_or_none(rs.inter_group, topo.num_groups(), "route inter group");
   ar.u8(rs.valiant, "route valiant flag");
   ar.i32(rs.global_hops, "route global hops");
   ar.i32(rs.local_hops_group, "route local hops");
   ar.i32(rs.local_mis_group, "route local misroutes");
   ar.i32(rs.local_hops_total, "route local hops total");
   ar.i32(rs.total_hops, "route total hops");
-  ar.i32(rs.prev_local_idx, "route prev local idx");
-  ar.i32(rs.last_local_vc, "route last local vc");
+  ar.index_or_none(rs.prev_local_idx, topo.routers_per_group(),
+                   "route prev local idx");
+  ar.index_or_none(rs.last_local_vc, vc_stride, "route last local vc");
   ar.u8(p.flags, "packet flags");
   // min_cache is a pure memo: recomputed on first use after restore.
+  ser::check(rs.dst_router == topo.router_of_terminal(p.dst) &&
+                 rs.dst_group == topo.group_of_terminal(p.dst) &&
+                 rs.src_group == topo.group_of_terminal(p.src) &&
+                 rs.valiant == (rs.inter_group != kInvalid),
+             "packet route state does not match the packet");
 }
 
 /// A queue whose length the caller has transferred: save visits its
@@ -169,17 +181,11 @@ void Engine::transfer(Ar& ar) {
   ar.u64(now_, "cycle clock");
   ar.u64(last_progress_, "last progress cycle");
   ar.u8(deadlock_, "deadlock flag");
-  std::uint64_t rng_state[Rng::kStateWords];
-  rng_.save_state(rng_state);
-  for (auto& w : rng_state) ar.u64(w, "rng state");
-  double load = injection_.load;
-  ar.f64(load, "offered load");
-  if constexpr (kLoad) {
-    rng_.set_state(rng_state);
-    // Re-derives gen_probability_ (and the ON/OFF duty compensation) with
-    // the same arithmetic the original run used — bit-identical draws.
-    set_offered_load(load);
-  }
+  rng_.transfer(ar);
+  ar.f64(injection_.load, "offered load");
+  // Restore re-derives gen_probability_ (and the ON/OFF duty compensation)
+  // with the same arithmetic the original run used: bit-identical draws.
+  if (kLoad) set_offered_load(injection_.load);
   ar.u64(delivered_packets_, "delivered packets");
   ar.u64(delivered_phits_, "delivered phits");
   for (auto& s : phits_sent_) ar.u64(s, "phits sent");
@@ -214,32 +220,26 @@ void Engine::transfer(Ar& ar) {
   std::uint64_t free_count = free_list.size();
   ar.u64(free_count, "pool free count");
   // Ids are 31-bit, so no stream can number more than 2^31 slots.
-  if (slots > (std::uint64_t{1} << 31) || free_count > slots) {
-    throw std::runtime_error(
-        "checkpoint corrupt: packet-pool free list larger than the pool");
-  }
+  ser::check(slots <= (std::uint64_t{1} << 31) && free_count <= slots,
+             "packet-pool free list larger than the pool");
   const auto bound = static_cast<std::int64_t>(slots);
   free_list.resize(static_cast<std::size_t>(free_count));
   std::vector<std::uint8_t> freed(static_cast<std::size_t>(slots), 0);
   for (PacketId& id : free_list) {
     ar.index(id, bound, "packet-pool free id");
-    if (std::exchange(freed[static_cast<std::size_t>(id)], 1) != 0) {
-      throw std::runtime_error(
-          "checkpoint corrupt: packet-pool free id listed twice");
-    }
+    ser::check(std::exchange(freed[static_cast<std::size_t>(id)], 1) == 0,
+               "packet-pool free id listed twice");
   }
   const bool one_slab = pool_.num_slabs() == 1;
+  ser::check(one_slab || free_count == 0, "packet pool not densely numbered");
   if (kLoad && one_slab) {
     pool_.restore_slab(0, static_cast<std::size_t>(slots),
                        std::move(free_list));
     live = pool_.live_ids();
-  } else if (kLoad && free_count != 0) {
-    throw std::runtime_error(
-        "checkpoint corrupt: packet pool not densely numbered");
   }
   for (std::size_t n = 0; n < slots - free_count; ++n) {
     Packet p = kLoad ? Packet{} : pool_[live[n]];
-    transfer_packet(ar, p, terminals);
+    transfer_packet(ar, p, topo_, vc_stride_);
     if constexpr (kLoad) {
       if (!one_slab) {
         live.push_back(pool_.alloc(shard_of(topo_.router_of_terminal(p.src))));
@@ -264,6 +264,9 @@ void Engine::transfer(Ar& ar) {
     ar.index(f.index, flits_per_packet_, "flit index");
     ar.u8(f.head, "flit head flag");
     ar.u8(f.tail, "flit tail flag");
+    ser::check(f.head == (f.index == 0) &&
+                   f.tail == (f.index == flits_per_packet_ - 1),
+               "flit head/tail flags do not match its index");
   };
 
   // Restore recomputes the worklists as their minimal consistent sets while
@@ -284,15 +287,14 @@ void Engine::transfer(Ar& ar) {
     for (PortId p = 0; p < ports_; ++p) {
       const auto cap_flits =
           static_cast<std::uint32_t>(port_capacity(p) / flit_phits_);
+      std::uint32_t nonempty = 0;  // mask of the port's nonempty VCs
       for (VcId v = 0; v < vc_count(p); ++v) {
         InputVc& ivc = in_vcs_[vc_index(r, p, v)];
         auto depth = static_cast<std::uint32_t>(ivc.fifo.size());
         ar.u32(depth, "input VC depth");
-        if (depth > cap_flits) {
-          throw std::runtime_error(
-              "checkpoint corrupt: input VC holds more flits than its "
-              "buffer capacity");
-        }
+        if (depth > 0) nonempty |= 1u << v;
+        ser::check(depth <= cap_flits,
+                   "input VC holds more flits than its buffer capacity");
         if constexpr (kLoad) {
           for (std::uint32_t k = 0; k < depth; ++k) {
             Flit f;
@@ -313,9 +315,14 @@ void Engine::transfer(Ar& ar) {
       }
       const std::size_t pi = port_index(r, p);
       ar.u64(out_busy_until_[pi], "port busy-until");
+      // The scan word packs the nonempty-VC mask over the VC round-robin
+      // pointer; allocation indexes VCs with both.
       ar.u32(in_scan_[pi], "port scan word");
-      ar.u32(out_rr_[pi], "port RR pointer");
-      if (kLoad && (in_scan_[pi] >> 16) != 0) set_occupied(r, p);
+      ser::check((in_scan_[pi] >> 16) == nonempty &&
+                     static_cast<int>(in_scan_[pi] & 0xffffu) < vc_count(p),
+                 "port scan word");
+      ar.index(out_rr_[pi], ports_, "port RR pointer");
+      if (kLoad && nonempty != 0) set_occupied(r, p);
     }
   }
 
@@ -391,9 +398,6 @@ void Engine::transfer(Ar& ar) {
   // Restore routes each event to the shard holding its router; ejection
   // happens at the destination router, so a delivery belongs to the shard
   // holding it.
-  std::vector<FlitEvent> flits;
-  std::vector<CreditEvent> credits;
-  std::vector<PacketId> deliveries;
   if constexpr (kLoad) {
     for (Shard& s : shards_) {
       s.flit_ring.reset(ring_size_);
@@ -402,14 +406,10 @@ void Engine::transfer(Ar& ar) {
     }
   }
   for (std::size_t slot = 0; slot < ring_size_; ++slot) {
+    std::vector<FlitEvent> flits;
+    std::vector<CreditEvent> credits;
+    std::vector<PacketId> deliveries;
     if constexpr (!kLoad) {
-      const auto by_key = [](const auto& x, const auto& y) {
-        return std::tie(x.router, x.port, x.vc) <
-               std::tie(y.router, y.port, y.vc);
-      };
-      flits.clear();
-      credits.clear();
-      deliveries.clear();
       for (const Shard& s : shards_) {
         s.flit_ring.visit(slot, [&](FlitEvent ev) { flits.push_back(ev); });
         s.credit_ring.visit(slot,
@@ -418,8 +418,11 @@ void Engine::transfer(Ar& ar) {
                               [&](PacketId id) { deliveries.push_back(id); });
       }
       if (sharded_) {
-        std::stable_sort(flits.begin(), flits.end(), by_key);
-        std::stable_sort(credits.begin(), credits.end(), by_key);
+        const auto key = [](const auto& e) {
+          return std::tie(e.router, e.port, e.vc);
+        };
+        std::ranges::stable_sort(flits, {}, key);
+        std::ranges::stable_sort(credits, {}, key);
       }
     }
     auto nf = static_cast<std::uint32_t>(flits.size());
@@ -461,11 +464,9 @@ void Engine::transfer(Ar& ar) {
   }
   std::uint64_t sentinel = kEndSentinel;
   ar.u64(sentinel, "end sentinel");
-  if (sentinel != kEndSentinel) {
-    throw std::runtime_error(
-        "checkpoint corrupt: end sentinel mismatch (the stream is "
-        "misaligned or was written by an incompatible routing mechanism)");
-  }
+  ser::check(sentinel == kEndSentinel,
+             "end sentinel mismatch (the stream is misaligned or was written "
+             "by an incompatible routing mechanism)");
   if constexpr (kLoad) {
     // Retry-suppression caches restart cold: waking a provably-blocked
     // head redoes a usability check that fails identically and draws

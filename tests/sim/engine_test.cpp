@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "../test_util.hpp"
 #include "traffic/pattern.hpp"
@@ -344,7 +343,11 @@ TEST(Engine, RestoreRejectsVcDeeperThanItsBuffer) {
 
 // Every stream value restore uses as an index is range-checked: a corrupt
 // timing-wheel event or VC binding must be rejected, not pushed into a
-// wheel that arrive_shard later indexes the VC arrays with.
+// wheel that arrive_shard later indexes the VC arrays with. So is every
+// value that must agree with what was read before it (route state and
+// endpoints, flit flags and index, a port's scan word and its VCs):
+// stepping a restore that accepted such a contradiction overflowed the
+// topology and VC arrays.
 TEST(Engine, RestoreRejectsOutOfRangeIndices) {
   const EngineConfig ec = small_vct();
   DragonflyTopology topo(2);
@@ -394,22 +397,29 @@ TEST(Engine, RestoreRejectsOutOfRangeIndices) {
     return bytes.size();
   };
 
-  const std::pair<std::string, std::size_t> fields[] = {
-      {"flit event port", wheels},
-      {"credit event vc", wheels},
-      {"VC bound port", 0},
+  const std::string i32_6000("\x70\x17\0\0", 4);  // past every index
+  const struct {
+    std::string field;
+    std::size_t from;
+    std::string value;
+    std::string error;
+  } cases[] = {
+      {"flit event port", wheels, i32_6000, "flit event port out of range"},
+      {"credit event vc", wheels, i32_6000, "credit event vc out of range"},
+      {"VC bound port", 0, i32_6000, "VC bound port out of range"},
+      {"route dst group", 0, i32_6000,
+       "packet route state does not match the packet"},
+      {"flit tail flag", wheels, std::string(1, '\0'),
+       "flit head/tail flags do not match its index"},
+      {"port scan word", 0, i32_6000, "port scan word"},
   };
-  for (const auto& [field, from] : fields) {
-    SCOPED_TRACE(field);
-    const std::size_t at = field_offset(field, from);
-    ASSERT_LT(at + 4, bytes.size());
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    const std::size_t at = field_offset(c.field, c.from);
+    ASSERT_LE(at + c.value.size(), bytes.size());
     std::string corrupt = bytes;
-    corrupt[at] = 0x70;  // 0x1770 = 6000: past every router, port and VC
-    corrupt[at + 1] = 0x17;
-    corrupt[at + 2] = 0;
-    corrupt[at + 3] = 0;
-    EXPECT_EQ(restore_error(corrupt),
-              "checkpoint corrupt: " + field + " out of range");
+    corrupt.replace(at, c.value.size(), c.value);
+    EXPECT_EQ(restore_error(corrupt), "checkpoint corrupt: " + c.error);
   }
 }
 
