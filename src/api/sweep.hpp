@@ -96,9 +96,9 @@ ExperimentResult run_experiment_point(const ExperimentPoint& pt,
 
 /// Build the classic (routing, load) steady grid: routings-major,
 /// loads-minor — identical point order to the historical serial loop.
-std::vector<ExperimentPoint> sweep_grid(const SimConfig& base,
-                                        const std::vector<std::string>& routings,
-                                        const std::vector<double>& loads);
+std::vector<ExperimentPoint> sweep_grid(
+    const SimConfig& base, const std::vector<std::string>& routings,
+    const std::vector<double>& loads);
 
 /// Print one metric of a steady sweep as `series,x,y` CSV rows.
 enum class Metric { kLatency, kThroughput };

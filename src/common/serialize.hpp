@@ -22,6 +22,12 @@
 // and throws std::runtime_error with a pointed message on a truncated,
 // mismatched or corrupt stream, so a damaged checkpoint is rejected
 // instead of silently restoring garbage.
+//
+// The Writer stages its bytes in a fixed 64 KiB buffer and writes it out
+// when it fills, before stream() hands out the raw stream, and at the end
+// of save(): one ostream::write per field made the stream calls a visible
+// share of a checkpointing sweep's CPU time, and a fixed buffer (rather
+// than a whole checkpoint) keeps concurrent saves off the peak memory.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +76,20 @@ class Writer {
   static constexpr bool kLoading = false;
 
   explicit Writer(std::ostream& os) : os_(os) {}
-  /// The underlying stream, for state behind a virtual interface.
-  std::ostream& stream() { return os_; }
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  /// The underlying stream, for state behind a virtual interface; the
+  /// staged bytes are written out first, so the stream is in order.
+  std::ostream& stream() {
+    flush();
+    return os_;
+  }
+  /// Write out the staged bytes.
+  void flush() {
+    os_.write(buf_, static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
 
   template <class T>
   void u64(const T& v, const char*) {
@@ -96,7 +114,7 @@ class Writer {
   }
   void str(const std::string& s, const char*) {
     put(s.size(), 8);
-    os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    append(s.data(), s.size());
   }
   void expect(std::uint64_t v, const char*) { put(v, 8); }
   template <class T>
@@ -113,13 +131,28 @@ class Writer {
   }
 
  private:
+  static constexpr std::size_t kBufferBytes = 64 * 1024;
+
   void put(std::uint64_t v, int n) {
-    unsigned char b[8];
-    for (int i = 0; i < n; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    os_.write(reinterpret_cast<const char*>(b), n);
+    char b[8];
+    for (int i = 0; i < n; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    append(b, static_cast<std::size_t>(n));
+  }
+  void append(const char* data, std::size_t n) {
+    if (used_ + n > kBufferBytes) {
+      flush();
+      if (n > kBufferBytes) {
+        os_.write(data, static_cast<std::streamsize>(n));
+        return;
+      }
+    }
+    std::memcpy(buf_ + used_, data, n);
+    used_ += n;
   }
 
   std::ostream& os_;
+  std::size_t used_ = 0;
+  char buf_[kBufferBytes];
 };
 
 class Reader {
@@ -220,6 +253,7 @@ template <class T>
 void save(std::ostream& os, const T& obj) {
   Writer ar(os);
   const_cast<T&>(obj).transfer(ar);
+  ar.flush();
 }
 
 template <class T>

@@ -15,7 +15,7 @@ using GroupId = std::int32_t;   ///< supernode
 using PortId = std::int32_t;    ///< router port, per-router numbering
 using VcId = std::int32_t;      ///< virtual channel index within a port
 using PacketId = std::int32_t;  ///< slot in the packet pool
-using LinkId = std::int32_t;    ///< flattened (router, output port) or terminal link
+using LinkId = std::int32_t;    ///< (router, output port) or terminal link
 
 inline constexpr std::int32_t kInvalid = -1;
 

@@ -93,7 +93,8 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   }
   flit_phits_ = cfg_.flit_phits > 0 ? cfg_.flit_phits : cfg_.packet_phits;
   if (cfg_.packet_phits % flit_phits_ != 0) {
-    throw std::invalid_argument("packet_phits must be a multiple of flit_phits");
+    throw std::invalid_argument(
+        "packet_phits must be a multiple of flit_phits");
   }
   flits_per_packet_ = cfg_.packet_phits / flit_phits_;
   if (cfg_.flow == FlowControl::kVirtualCutThrough && flits_per_packet_ != 1) {
@@ -136,8 +137,8 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
   first_terminal_port_ = topo_.first_terminal_port();
   terminals_per_router_ = topo_.terminals_per_router();
 
-  // The head-hop cache packs port*16+vc into an int16: 2047*16+15 is
-  // exactly INT16_MAX. (The old one-word occupied-port bitmask capped
+  // InputVc packs an output hop as port*16+vc into an int16: 2047*16+15
+  // is exactly INT16_MAX. (The old one-word occupied-port bitmask capped
   // degree at 63, which an h=8+ shape blows straight through.)
   if (ports_ > 2047) {
     throw std::invalid_argument(
@@ -170,6 +171,8 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
 
   port_class_.resize(static_cast<size_t>(ports_));
   vc_count_.resize(static_cast<size_t>(ports_));
+  vc_base_.resize(static_cast<size_t>(ports_));
+  vcs_per_router_ = 0;
   for (PortId p = 0; p < ports_; ++p) {
     const PortClass cls = topo_.port_class(p);
     port_class_[static_cast<size_t>(p)] = static_cast<std::uint8_t>(cls);
@@ -184,11 +187,15 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
         vc_count_[static_cast<size_t>(p)] = 1;
         break;
     }
+    vc_base_[static_cast<size_t>(p)] = vcs_per_router_;
+    vcs_per_router_ += vc_count(p);
+    vc_port_.insert(vc_port_.end(), static_cast<size_t>(vc_count(p)),
+                    static_cast<std::int16_t>(p));
   }
 
   const auto num_routers = static_cast<std::size_t>(topo_.num_routers());
-  const auto num_ports = num_routers * static_cast<std::size_t>(ports_);
-  const auto num_vcs = num_ports * static_cast<std::size_t>(vc_stride_);
+  const auto num_vcs =
+      num_routers * static_cast<std::size_t>(vcs_per_router_);
   // The waiter lists store VC indices in 32-bit slots; a shape whose VC
   // count overflows them would corrupt retry suppression silently.
   if (num_vcs >= static_cast<std::size_t>(INT32_MAX)) {
@@ -265,7 +272,7 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
 void Engine::allocate_state() {
   const auto num_routers = static_cast<std::size_t>(topo_.num_routers());
   const auto num_ports = num_routers * static_cast<std::size_t>(ports_);
-  const auto num_vcs = num_ports * static_cast<std::size_t>(vc_stride_);
+  const auto num_vcs = num_routers * static_cast<std::size_t>(vcs_per_router_);
   const auto layout = [&](std::byte* base) {
     std::size_t offset = 0;
     const auto carve = [&](auto*& array, std::size_t n, auto... init) {
@@ -284,9 +291,6 @@ void Engine::allocate_state() {
     };
     carve(in_vcs_, num_vcs);
     carve(out_vcs_, num_vcs);
-    carve(vc_sleep_until_, num_vcs);
-    carve(head_hop_, num_vcs, kHeadUnknown);
-    carve(ovc_waiter_head_, num_vcs, -1);
     carve(vc_waiter_next_, num_vcs, kNotWaiting);
     carve(endpoints_, num_ports);
     carve(out_busy_until_, num_ports);
@@ -426,6 +430,7 @@ void Engine::allocate_router(RouterId r, Shard& s) {
       // sleeps simply expire.
       if (port_wake_[pbase] > now_) continue;
       const int nvc = vc_count(p);
+      const std::size_t first_vc = vc_index(r, p, 0);
       const std::uint32_t scan = in_scan_[pbase];
       const std::uint32_t mask = scan >> 16;
       // RR pointers are stored pre-reduced (always < the port's VC count /
@@ -442,66 +447,61 @@ void Engine::allocate_router(RouterId r, Shard& s) {
         if (vi >= nvc) vi -= nvc;
         if (((mask >> vi) & 1u) == 0) continue;  // empty VC: skip the load
         const VcId v = static_cast<VcId>(vi);
-        const std::size_t vidx = vc_index(r, p, v);
-        if (vc_sleep_until_[vidx] > now_) {  // provably blocked
-          if (vc_sleep_until_[vidx] < port_min) {
-            port_min = vc_sleep_until_[vidx];
-          }
+        const std::size_t vidx = first_vc + static_cast<std::size_t>(vi);
+        // Everything below up to the decide() call reads this one record.
+        InputVc& ivc = in_vcs_[vidx];
+        if (ivc.sleep_until > now_) {  // provably blocked
+          if (ivc.sleep_until < port_min) port_min = ivc.sleep_until;
           continue;
         }
-        InputVc& ivc = in_vcs_[vidx];
         if (now_ - ivc.head_since > cfg_.watchdog_cycles) s.deadlock = true;
 
         Nomination nom{p, v, kInvalid, 0, false, {}};
-        std::int16_t hh = head_hop_[vidx];
+        std::int16_t hh = ivc.head_hop;
         if (hh >= 0) {
           // Cached pure-minimal verdict for this head: decide() would
           // return exactly this hop iff usable. Neither the packet pool
           // nor the flit slab needs to be touched to retry it.
-          const PortId op = hh >> 4;
-          const VcId ov = hh & 0xf;
+          const PortId op = InputVc::hop_port(hh);
+          const VcId ov = InputVc::hop_vc(hh);
           if (!head_usable(r, op, ov)) {
             suppress_retry(vidx, ivc, r, op, ov);
-            if (vc_sleep_until_[vidx] < port_min) {
-              port_min = vc_sleep_until_[vidx];
-            }
+            if (ivc.sleep_until < port_min) port_min = ivc.sleep_until;
             continue;
           }
           nom.out_port = op;
           nom.out_vc = ov;
           nom.fresh = true;
           nom.choice = RouteChoice{op, ov};
-        } else if (ivc.bound_out_port != kInvalid) {
+        } else if (ivc.bound != InputVc::kNoHop) {
           // Wormhole continuation: body flits follow the head's decision.
+          const PortId op = InputVc::hop_port(ivc.bound);
+          const VcId ov = InputVc::hop_vc(ivc.bound);
           const Flit& flit = ivc.fifo.front(slab);
-          if (!output_usable(r, ivc.bound_out_port, ivc.bound_out_vc,
-                             flit)) {
-            suppress_retry(vidx, ivc, r, ivc.bound_out_port,
-                           ivc.bound_out_vc);
-            if (vc_sleep_until_[vidx] < port_min) {
-              port_min = vc_sleep_until_[vidx];
-            }
+          if (!output_usable(r, op, ov, flit)) {
+            suppress_retry(vidx, ivc, r, op, ov);
+            if (ivc.sleep_until < port_min) port_min = ivc.sleep_until;
             continue;
           }
-          nom.out_port = ivc.bound_out_port;
-          nom.out_vc = ivc.bound_out_vc;
+          nom.out_port = op;
+          nom.out_vc = ov;
         } else {
           const Flit& flit = ivc.fifo.front(slab);
           assert(flit.head);
           Packet& pkt = pool_[flit.packet];
           // Sharded mode draws from a counter-based stream keyed by
-          // (seed, cycle, VC index): any worker evaluating this decision
+          // (seed, cycle, VC): any worker evaluating this decision
           // constructs the identical stream. Exact mode keeps the single
           // shared cursor, whose ascending draw order is the contract.
           Rng* rng = &rng_;
           if (sharded_) {
             scratch.rng = keyed_stream(cfg_.seed, now_, kStreamRoute,
-                                       static_cast<std::uint64_t>(vidx));
+                                       route_stream_key(r, p, v));
             rng = &scratch.rng;
           }
           RoutingContext ctx{*this, r, p, v, pkt, flit, *rng};
           std::optional<RouteChoice> choice;
-          if (hh == kHeadUnknown) {
+          if (hh == InputVc::kHeadUnknown) {
             // First decision for this (head, router): the fused entry
             // point computes the purity verdict and — when impure — the
             // decision in one pass; the verdict is cached for the retry
@@ -509,13 +509,10 @@ void Engine::allocate_router(RouterId r, Shard& s) {
             std::optional<Hop> hop;
             choice = routing_.decide_fresh(ctx, &hop);
             if (hop) {
-              hh = static_cast<std::int16_t>((hop->port << 4) | hop->vc);
-              head_hop_[vidx] = hh;
+              ivc.head_hop = InputVc::encode_hop(hop->port, hop->vc);
               if (!output_usable(r, hop->port, hop->vc, flit)) {
                 suppress_retry(vidx, ivc, r, hop->port, hop->vc);
-                if (vc_sleep_until_[vidx] < port_min) {
-                  port_min = vc_sleep_until_[vidx];
-                }
+                if (ivc.sleep_until < port_min) port_min = ivc.sleep_until;
                 continue;
               }
               nom.out_port = hop->port;
@@ -524,7 +521,7 @@ void Engine::allocate_router(RouterId r, Shard& s) {
               nom.choice = RouteChoice{hop->port, hop->vc};
               goto nominated;
             }
-            head_hop_[vidx] = kHeadImpure;
+            ivc.head_hop = InputVc::kHeadImpure;
           } else {
             choice = routing_.decide(ctx);
           }
@@ -627,8 +624,7 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
   InputVc& ivc = in_vcs_[in_vidx];
   const Flit flit = ivc.fifo.front(s.flit_slab);
   ivc.fifo.pop_front(s.flit_slab);
-  ivc.occupancy_phits -= flit_phits_;
-  head_hop_[in_vidx] = kHeadUnknown;  // whatever follows is a new head
+  ivc.head_hop = InputVc::kHeadUnknown;  // whatever follows is a new head
   if (ivc.fifo.empty()) {
     --nonempty_vcs_[static_cast<size_t>(r)];
     std::uint32_t& scan = in_scan_[port_index(r, in_port)];
@@ -678,13 +674,9 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
 
   // Input-VC binding for multi-flit packets (wormhole).
   if (flit.head && !flit.tail) {
-    ivc.bound_out_port = static_cast<std::int16_t>(out_port);
-    ivc.bound_out_vc = static_cast<std::int16_t>(out_vc_id);
+    ivc.bound = InputVc::encode_hop(out_port, out_vc_id);
   }
-  if (flit.tail) {
-    ivc.bound_out_port = InputVc::kInvalid16;
-    ivc.bound_out_vc = InputVc::kInvalid16;
-  }
+  if (flit.tail) ivc.bound = InputVc::kNoHop;
 
   s.progressed = true;
   if (out_cls == PortClass::kTerminal) {
@@ -697,15 +689,14 @@ void Engine::send_flit(RouterId r, PortId in_port, VcId in_vc_id,
     return;
   }
 
-  const std::size_t out_vidx = vc_index(r, out_port, out_vc_id);
-  OutputVc& ovc = out_vcs_[out_vidx];
+  OutputVc& ovc = out_vcs_[vc_index(r, out_port, out_vc_id)];
   ovc.credits_phits -= flit_phits_;
   assert(ovc.credits_phits >= 0);
   if (cfg_.flow == FlowControl::kWormhole) {
     if (flit.head) ovc.bound_packet = flit.packet;
     if (flit.tail) {
       ovc.bound_packet = kInvalid;
-      wake_waiters(out_vidx);
+      wake_waiters(r, ovc);
     }
   }
 
@@ -850,7 +841,7 @@ std::size_t Engine::footprint_bytes() const {
            sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   std::size_t total = sizeof(Engine);
-  total += vec(port_class_) + vec(vc_count_);
+  total += vec(port_class_) + vec(vc_count_) + vec(vc_base_) + vec(vc_port_);
   total += state_block_.get_deleter().bytes;
   total += vec(pending_terminals_);
   total += vec(terminals_) + vec(onoff_state_) + vec(terminal_dead_);

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -330,6 +331,10 @@ class Engine {
   const InputVc& input_vc(RouterId r, PortId port, VcId vc) const {
     return in_vcs_[vc_index(r, port, vc)];
   }
+  /// Phits buffered in an input VC: every flit is flit_phits() long.
+  int input_occupancy(RouterId r, PortId port, VcId vc) const {
+    return input_vc(r, port, vc).fifo.size() * flit_phits_;
+  }
   const OutputVc& output_vc(RouterId r, PortId port, VcId vc) const {
     return out_vcs_[vc_index(r, port, vc)];
   }
@@ -424,9 +429,24 @@ class Engine {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(ports_) +
            static_cast<std::size_t>(port);
   }
+  /// Dense VC numbering: router r's VCs are the vcs_per_router_ slots
+  /// from r * vcs_per_router_, port p's from vc_base_[p] within them, so
+  /// every VC has exactly one slot and no port is padded to the largest
+  /// VC count.
   std::size_t vc_index(RouterId r, PortId port, VcId vc) const {
-    return port_index(r, port) * static_cast<std::size_t>(vc_stride_) +
+    assert(vc >= 0 && vc < vc_count(port));
+    return static_cast<std::size_t>(r) *
+               static_cast<std::size_t>(vcs_per_router_) +
+           static_cast<std::size_t>(vc_base_[static_cast<std::size_t>(port)]) +
            static_cast<std::size_t>(vc);
+  }
+  /// Sharded mode's routing-decision stream key: the VC's number in a
+  /// layout that pads every port to vc_stride_ VCs. The dense vc_index
+  /// would do as well, but every sharded result is pinned to this key.
+  std::uint64_t route_stream_key(RouterId r, PortId port, VcId vc) const {
+    return static_cast<std::uint64_t>(port_index(r, port)) *
+               static_cast<std::uint64_t>(vc_stride_) +
+           static_cast<std::uint64_t>(vc);
   }
   // Occupied-port bitmask, occ_words_ 64-bit words per router (the
   // one-word-per-router layout capped router degree at 63).
@@ -498,39 +518,45 @@ class Engine {
   /// first cycle the per-head deadlock check would fire — so detection
   /// timing is untouched. Only callers that provably draw no RNG while
   /// blocked (pure-minimal heads, wormhole continuations) may use this.
-  void suppress_retry(std::size_t vidx, const InputVc& ivc, RouterId r,
+  void suppress_retry(std::size_t vidx, InputVc& ivc, RouterId r,
                       PortId out_port, VcId out_vc) {
     const Cycle deadline = ivc.head_since + cfg_.watchdog_cycles + 1;
     const Cycle busy = out_busy_until_[port_index(r, out_port)];
     if (busy > now_) {
-      vc_sleep_until_[vidx] = busy < deadline ? busy : deadline;
+      ivc.sleep_until = busy < deadline ? busy : deadline;
       return;
     }
     // An idle terminal output is always usable — being blocked on one is
     // impossible here.
     assert(pclass(out_port) != PortClass::kTerminal);
-    const std::size_t ovidx = vc_index(r, out_port, out_vc);
-    vc_sleep_until_[vidx] = deadline;
+    OutputVc& ovc = out_vcs_[vc_index(r, out_port, out_vc)];
+    ivc.sleep_until = deadline;
     if (vc_waiter_next_[vidx] == kNotWaiting) {
-      vc_waiter_next_[vidx] = ovc_waiter_head_[ovidx];
-      ovc_waiter_head_[ovidx] = static_cast<std::int32_t>(vidx);
+      vc_waiter_next_[vidx] = ovc.waiter_head;
+      ovc.waiter_head = static_cast<std::int32_t>(vidx);
     }
   }
 
-  /// A credit arrived on / ownership was released from output VC `ovidx`:
-  /// put every input VC waiting on it back into the allocation scan.
-  void wake_waiters(std::size_t ovidx) {
-    std::int32_t w = ovc_waiter_head_[ovidx];
+  /// A credit arrived on / ownership was released from output VC `ovc` of
+  /// router r: put every input VC waiting on it back into the allocation
+  /// scan. Waiters are r's own input VCs, so each one's slot within r
+  /// names its port.
+  void wake_waiters(RouterId r, OutputVc& ovc) {
+    std::int32_t w = ovc.waiter_head;
     if (w < 0) return;
-    ovc_waiter_head_[ovidx] = -1;
+    ovc.waiter_head = -1;
+    const std::size_t first_vc = static_cast<std::size_t>(r) *
+                                 static_cast<std::size_t>(vcs_per_router_);
+    const std::size_t first_port = port_index(r, 0);
     do {
       const auto wi = static_cast<std::size_t>(w);
+      assert(wi >= first_vc && wi - first_vc < vc_port_.size());
       const std::int32_t next = vc_waiter_next_[wi];
       vc_waiter_next_[wi] = kNotWaiting;
-      vc_sleep_until_[wi] = 0;
-      // The woken VC's port is actionable again (vc_index is
-      // port_index * vc_stride_ + vc, so the division recovers the port).
-      port_wake_[wi / static_cast<std::size_t>(vc_stride_)] = 0;
+      in_vcs_[wi].sleep_until = 0;
+      // The woken VC's port is actionable again.
+      port_wake_[first_port +
+                 static_cast<std::size_t>(vc_port_[wi - first_vc])] = 0;
       w = next;
     } while (w >= 0);
   }
@@ -642,7 +668,8 @@ class Engine {
   InjectionProcess injection_;
 
   int ports_;
-  int vc_stride_;
+  int vc_stride_;       ///< largest VC count of any port
+  int vcs_per_router_;  ///< sum of vc_count over the ports
   int first_terminal_port_;
   int terminals_per_router_;
   int flit_phits_;
@@ -657,27 +684,34 @@ class Engine {
   // Per-port lookups shared by all routers (the port layout is uniform).
   std::vector<std::uint8_t> port_class_;  // [port] -> PortClass
   std::vector<std::int32_t> vc_count_;    // [port]
+  std::vector<std::int32_t> vc_base_;     // [port] -> first VC slot
+  std::vector<std::int16_t> vc_port_;     // [VC slot in router] -> port
 
   // Flat router state, indexed via port_index()/vc_index(). Every array
   // from here to nonempty_vcs_ is carved from state_block_ (see
-  // allocate_state): one mapping instead of thirteen heap arrays, handed
-  // on to the next engine of the same shape when this one is destroyed.
+  // allocate_state): one mapping instead of ten heap arrays, handed on to
+  // the next engine of the same shape when this one is destroyed.
   struct StateBlockRelease {
     std::size_t bytes;
     void operator()(std::byte* block) const;
   };
   std::unique_ptr<std::byte, StateBlockRelease> state_block_;
   void allocate_state();
+  /// Retry suppression lives in the VC records: while a pure-minimal head
+  /// (or a wormhole continuation, which never consults the routing
+  /// mechanism) waits on a port that is busy until cycle T, no cycle
+  /// before T can change the verdict and no RNG would be drawn — so the
+  /// VC sleeps until min(T, its watchdog deadline) (InputVc::sleep_until)
+  /// and the scan skips it after reading its record. A head blocked on
+  /// credits or ownership sleeps until its deadline and waits on the
+  /// output VC's list (OutputVc::waiter_head, linked through
+  /// vc_waiter_next_, kNotWaiting when not enlisted) until a credit or
+  /// the release wakes it. Bit-identical to retrying every cycle.
   InputVc* in_vcs_ = nullptr;
   OutputVc* out_vcs_ = nullptr;
-  /// Retry suppression for heads blocked by output serialization: while a
-  /// pure-minimal head (or a wormhole continuation, which never consults
-  /// the routing mechanism) waits on a port that is busy until cycle T,
-  /// no cycle before T can change the verdict and no RNG would be drawn —
-  /// so the VC sleeps until min(T, its watchdog deadline) and the scan
-  /// skips it with a single load. Bit-identical to retrying every cycle.
-  Cycle* vc_sleep_until_ = nullptr;
-  /// Port-level aggregation of vc_sleep_until_: when EVERY nonempty VC of
+  std::int32_t* vc_waiter_next_ = nullptr;
+  static constexpr std::int32_t kNotWaiting = -2;
+  /// Port-level aggregation of the VC sleeps: when EVERY nonempty VC of
   /// an input port is asleep, the port records its earliest wake here and
   /// the allocation scan skips the whole port with a single load (instead
   /// of walking its VC mask to rediscover that nothing is actionable).
@@ -687,23 +721,6 @@ class Engine {
   /// behavior-neutral state: a skipped visit would have nominated nothing
   /// and drawn no RNG, so results are bit-identical with or without it.
   Cycle* port_wake_ = nullptr;
-  /// Per-VC verdict of RoutingAlgorithm::pure_minimal_hop for the current
-  /// head flit: kHeadUnknown (re-ask on next scan), kHeadImpure (full
-  /// decide() every retry), or the encoded pure hop port*16+vc. Reset
-  /// whenever the VC's head changes (send, or arrival into an empty VC);
-  /// the head's RouteState cannot change between those points, so a
-  /// cached verdict never goes stale. Pure retries then touch neither the
-  /// packet pool nor the flit slab.
-  std::int16_t* head_hop_ = nullptr;
-  static constexpr std::int16_t kHeadUnknown = -1;
-  static constexpr std::int16_t kHeadImpure = -2;
-  /// Intrusive waiter lists for the event-driven half of retry
-  /// suppression: ovc_waiter_head_[output vc] chains the input VCs whose
-  /// pure heads are blocked on that VC's credits/ownership, linked
-  /// through vc_waiter_next_[input vc] (kNotWaiting when not enlisted).
-  std::int32_t* ovc_waiter_head_ = nullptr;
-  std::int32_t* vc_waiter_next_ = nullptr;
-  static constexpr std::int32_t kNotWaiting = -2;
   DragonflyTopology::Endpoint* endpoints_ = nullptr;  // [router*ports+port]
   Cycle* out_busy_until_ = nullptr;                   // [router*ports+port]
   /// Input-side per-port scan state, packed so the allocation scan loads
@@ -854,7 +871,7 @@ class Engine {
   }
   bool profile_ = false;  ///< sharded mode only
   PhaseProfile profile_data_;
-  /// keyed_stream domains: routing decisions key on the input VC index,
+  /// keyed_stream domains: routing decisions key on route_stream_key,
   /// injection and message-size draws on the terminal id.
   static constexpr std::uint64_t kStreamRoute = 1;
   static constexpr std::uint64_t kStreamInject = 2;

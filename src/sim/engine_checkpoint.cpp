@@ -305,13 +305,42 @@ void Engine::transfer(Ar& ar) {
           ivc.fifo.visit(slab, [&](Flit f) { transfer_flit(f); });
         }
         if (kLoad && depth > 0) ++nonempty_vcs_[static_cast<std::size_t>(r)];
-        ar.i32(ivc.occupancy_phits, "input VC occupancy");
-        ar.index_or_none(ivc.bound_out_port, ports_, "VC bound port");
-        ar.index_or_none(ivc.bound_out_vc, vc_stride_, "VC bound vc");
+        // Occupancy is the depth in phits: written for the format, checked
+        // on restore.
+        std::int32_t occupancy = static_cast<std::int32_t>(depth) * flit_phits_;
+        ar.i32(occupancy, "input VC occupancy");
+        ser::check(occupancy == static_cast<std::int32_t>(depth) * flit_phits_,
+                   "input VC occupancy does not match its depth");
+        // The binding travels as two fields, port and VC.
+        PortId bound_port = kInvalid;
+        VcId bound_vc = kInvalid;
+        if (ivc.bound != InputVc::kNoHop) {
+          bound_port = InputVc::hop_port(ivc.bound);
+          bound_vc = InputVc::hop_vc(ivc.bound);
+        }
+        ar.index_or_none(bound_port, ports_, "VC bound port");
+        ar.index_or_none(bound_vc, vc_stride_, "VC bound vc");
+        const bool bound_ok =
+            bound_port == kInvalid
+                ? bound_vc == kInvalid
+                : bound_vc != kInvalid && bound_vc < vc_count(bound_port);
+        ser::check(bound_ok, "VC binding names no VC of its port");
         ar.u64(ivc.head_since, "VC head since");
         OutputVc& ovc = out_vcs_[vc_index(r, p, v)];
         ar.i32(ovc.credits_phits, "output VC credits");
         packet_id(ovc.bound_packet, true, "output VC bound packet");
+        if constexpr (kLoad) {
+          ivc.bound = bound_port == kInvalid
+                          ? InputVc::kNoHop
+                          : InputVc::encode_hop(bound_port, bound_vc);
+          // Retry-suppression caches restart cold: waking a
+          // provably-blocked head redoes a usability check that fails
+          // identically and draws nothing, so this is bit-identical to
+          // carrying the caches over.
+          ivc.head_hop = InputVc::kHeadUnknown;
+          ivc.sleep_until = 0;
+          ovc.waiter_head = -1;
+        }
       }
       const std::size_t pi = port_index(r, p);
       ar.u64(out_busy_until_[pi], "port busy-until");
@@ -468,18 +497,14 @@ void Engine::transfer(Ar& ar) {
              "end sentinel mismatch (the stream is misaligned or was written "
              "by an incompatible routing mechanism)");
   if constexpr (kLoad) {
-    // Retry-suppression caches restart cold: waking a provably-blocked
-    // head redoes a usability check that fails identically and draws
-    // nothing, so this is bit-identical to carrying the caches over.
-    const std::size_t num_ports = static_cast<std::size_t>(routers) *
-                                  static_cast<std::size_t>(ports_);
-    const std::size_t num_vcs =
-        num_ports * static_cast<std::size_t>(vc_stride_);
-    std::fill_n(vc_sleep_until_, num_vcs, 0);
-    std::fill_n(port_wake_, num_ports, 0);
-    std::fill_n(head_hop_, num_vcs, kHeadUnknown);
-    std::fill_n(ovc_waiter_head_, num_vcs, -1);
-    std::fill_n(vc_waiter_next_, num_vcs, kNotWaiting);
+    // The rest of the retry-suppression state restarts cold with the VC
+    // records' caches (see the router loop).
+    const auto num_routers = static_cast<std::size_t>(routers);
+    std::fill_n(port_wake_, num_routers * static_cast<std::size_t>(ports_),
+                0);
+    std::fill_n(vc_waiter_next_,
+                num_routers * static_cast<std::size_t>(vcs_per_router_),
+                kNotWaiting);
   }
 }
 

@@ -233,11 +233,10 @@ void Engine::arrive_shard(Shard& s) {
         __builtin_prefetch(&out_vcs_[vc_index(ev.router, ev.port, ev.vc)]);
       },
       [&](const CreditEvent& ev) {
-        const std::size_t ovidx = vc_index(ev.router, ev.port, ev.vc);
-        OutputVc& ovc = out_vcs_[ovidx];
+        OutputVc& ovc = out_vcs_[vc_index(ev.router, ev.port, ev.vc)];
         ovc.credits_phits += flit_phits_;
         assert(ovc.credits_phits <= port_capacity(ev.port));
-        wake_waiters(ovidx);  // waiter chains never leave the router
+        wake_waiters(ev.router, ovc);  // the same record's waiter head
       });
 
   s.flit_ring.drain_prefetch(
@@ -246,12 +245,11 @@ void Engine::arrive_shard(Shard& s) {
         __builtin_prefetch(&in_vcs_[vc_index(ev.router, ev.port, ev.vc)]);
       },
       [&](const FlitEvent& ev) {
-        const std::size_t vidx = vc_index(ev.router, ev.port, ev.vc);
-        InputVc& ivc = in_vcs_[vidx];
+        InputVc& ivc = in_vcs_[vc_index(ev.router, ev.port, ev.vc)];
         if (ivc.fifo.empty()) {
           ++nonempty_vcs_[static_cast<size_t>(ev.router)];
           ivc.head_since = now_;
-          head_hop_[vidx] = kHeadUnknown;  // this flit becomes the head
+          ivc.head_hop = InputVc::kHeadUnknown;  // this flit is the head
           const std::size_t pidx = port_index(ev.router, ev.port);
           std::uint32_t& scan = in_scan_[pidx];
           if ((scan >> 16) == 0) set_occupied(ev.router, ev.port);
@@ -259,13 +257,12 @@ void Engine::arrive_shard(Shard& s) {
           port_wake_[pidx] = 0;  // a fresh head makes the port actionable
         }
         ivc.fifo.push_back(s.flit_slab, ev.flit);
-        ivc.occupancy_phits += flit_phits_;
         if (pclass(ev.port) == PortClass::kTerminal) {
           const NodeId t = ev.router * terminals_per_router_ +
                            (ev.port - first_terminal_port_);
           terminals_[static_cast<size_t>(t)].inflight_phits -= flit_phits_;
         }
-        assert(ivc.occupancy_phits <= port_capacity(ev.port));
+        assert(ivc.fifo.size() * flit_phits_ <= port_capacity(ev.port));
       });
 }
 
@@ -366,8 +363,7 @@ void Engine::try_inject_shard(NodeId t, TerminalState& ts, Rng* rng,
 
   const RouterId r = topo_.router_of_terminal(t);
   const PortId port = topo_.terminal_port(t);
-  const InputVc& ivc = in_vcs_[vc_index(r, port, 0)];
-  if (ivc.occupancy_phits + ts.inflight_phits + cfg_.packet_phits >
+  if (input_occupancy(r, port, 0) + ts.inflight_phits + cfg_.packet_phits >
       injection_buf_phits_) {
     return;
   }

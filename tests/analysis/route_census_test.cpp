@@ -39,15 +39,18 @@ TEST(RouteCensus, ParitySignNeverStarves) {
 }
 
 TEST(RouteCensus, ParitySignLinkLoadTighterThanSignOnly) {
-  const RouteCensus ps(16, LocalRouteRestriction(RestrictionPolicy::kParitySign));
-  const RouteCensus so(16, LocalRouteRestriction(RestrictionPolicy::kSignOnly));
+  const RouteCensus ps(
+      16, LocalRouteRestriction(RestrictionPolicy::kParitySign));
+  const RouteCensus so(
+      16, LocalRouteRestriction(RestrictionPolicy::kSignOnly));
   const int ps_spread = ps.max_link_load() - ps.min_link_load();
   const int so_spread = so.max_link_load() - so.min_link_load();
   EXPECT_LT(ps_spread, so_spread);
 }
 
 TEST(RouteCensus, HistogramCountsAllPairs) {
-  const RouteCensus census(8, LocalRouteRestriction(RestrictionPolicy::kParitySign));
+  const RouteCensus census(
+      8, LocalRouteRestriction(RestrictionPolicy::kParitySign));
   const auto hist = census.pair_histogram();
   const int total = std::accumulate(hist.begin(), hist.end(), 0);
   EXPECT_EQ(total, 8 * 7);

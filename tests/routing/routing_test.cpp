@@ -234,7 +234,8 @@ TEST(OlmEscape, MatchesPaperVcRules) {
   rs.dst_group = 0;
   const RouterId inter = topo.router_id(5, 3);
   // Misroute onto lVC1 (rank 1) leaves lVC2-gVC2-lVC3: feasible.
-  EXPECT_TRUE(OlmRouting::escape_feasible(topo, 3, 2, local_rank(0), inter, rs));
+  EXPECT_TRUE(
+      OlmRouting::escape_feasible(topo, 3, 2, local_rank(0), inter, rs));
   // Misroute onto lVC2 (rank 3) would need a global VC above rank 5: no.
   EXPECT_FALSE(
       OlmRouting::escape_feasible(topo, 3, 2, local_rank(1), inter, rs));

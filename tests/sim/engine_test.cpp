@@ -154,10 +154,8 @@ TEST(Engine, WormholeDeliversAllFlitsInOrder) {
   ec.packet_phits = 80;
   ec.flit_phits = 10;
   TestNet net(2, "minimal", ec, std::make_unique<NeverPattern>());
-  for (int i = 0; i < 4; ++i) {
-    net.engine.inject_for_test(0, net.topo.terminal_id(net.topo.router_id(3, 1), 0),
-                               0);
-  }
+  const NodeId dst = net.topo.terminal_id(net.topo.router_id(3, 1), 0);
+  for (int i = 0; i < 4; ++i) net.engine.inject_for_test(0, dst, 0);
   net.engine.run_until(5000);
   EXPECT_EQ(net.engine.delivered_packets(), 4u);
   EXPECT_FALSE(net.engine.deadlock_detected());
@@ -345,9 +343,10 @@ TEST(Engine, RestoreRejectsVcDeeperThanItsBuffer) {
 // timing-wheel event or VC binding must be rejected, not pushed into a
 // wheel that arrive_shard later indexes the VC arrays with. So is every
 // value that must agree with what was read before it (route state and
-// endpoints, flit flags and index, a port's scan word and its VCs):
-// stepping a restore that accepted such a contradiction overflowed the
-// topology and VC arrays.
+// endpoints, flit flags and index, a port's scan word and its VCs, a VC's
+// occupancy and its depth, a binding's VC and its port): stepping a
+// restore that accepted such a contradiction overflowed the topology and
+// VC arrays, or would index another port's VC.
 TEST(Engine, RestoreRejectsOutOfRangeIndices) {
   const EngineConfig ec = small_vct();
   DragonflyTopology topo(2);
@@ -398,6 +397,13 @@ TEST(Engine, RestoreRejectsOutOfRangeIndices) {
   };
 
   const std::string i32_6000("\x70\x17\0\0", 4);  // past every index
+  const auto le32 = [](std::uint32_t v) {
+    std::string le(4, '\0');
+    for (int i = 0; i < 4; ++i) le[i] = static_cast<char>(v >> (8 * i));
+    return le;
+  };
+  PortId global_port = 0;
+  while (topo.port_class(global_port) != PortClass::kGlobal) ++global_port;
   const struct {
     std::string field;
     std::size_t from;
@@ -412,6 +418,13 @@ TEST(Engine, RestoreRejectsOutOfRangeIndices) {
       {"flit tail flag", wheels, std::string(1, '\0'),
        "flit head/tail flags do not match its index"},
       {"port scan word", 0, i32_6000, "port scan word"},
+      {"input VC occupancy", 0, i32_6000,
+       "input VC occupancy does not match its depth"},
+      {"VC bound vc", 0, le32(0), "VC binding names no VC of its port"},
+      // Port and VC together: VC 2 is below the largest VC count (3
+      // local VCs) but is no VC of a 2-VC global port.
+      {"VC bound port", 0, le32(global_port) + le32(2),
+       "VC binding names no VC of its port"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.field);
@@ -420,6 +433,48 @@ TEST(Engine, RestoreRejectsOutOfRangeIndices) {
     std::string corrupt = bytes;
     corrupt.replace(at, c.value.size(), c.value);
     EXPECT_EQ(restore_error(corrupt), "checkpoint corrupt: " + c.error);
+  }
+}
+
+// Every VC has exactly one slot: walking (router, port, VC) in order visits
+// one contiguous run of InputVc records with no padding between ports, so
+// a port with fewer VCs than the largest port costs no memory.
+TEST(Engine, InputVcsAreDenselyNumbered) {
+  const struct {
+    const char* name;
+    DragonflyTopology topo;
+    const char* routing;
+    int local_vcs;
+  } shapes[] = {
+      {"h=2 olm", DragonflyTopology(2), "olm", 3},
+      {"h=2 par-6/2", DragonflyTopology(2), "par-6/2", 6},
+      {"unbalanced olm", DragonflyTopology(2, 6, 3, 8), "olm", 3},
+  };
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const DragonflyTopology& topo = shape.topo;
+    auto routing = make_routing(shape.routing, topo, {});
+    NeverPattern never;
+    EngineConfig ec = small_vct();
+    ec.local_vcs = shape.local_vcs;
+    const Engine engine(topo, ec, *routing, never, {});
+    std::size_t vcs_per_router = 0;
+    for (PortId p = 0; p < topo.ports_per_router(); ++p) {
+      vcs_per_router += static_cast<std::size_t>(engine.vc_count(p));
+    }
+    const InputVc* const first = &engine.input_vc(0, 0, 0);
+    std::size_t count = 0;
+    for (RouterId r = 0; r < topo.num_routers(); ++r) {
+      for (PortId p = 0; p < topo.ports_per_router(); ++p) {
+        for (VcId v = 0; v < engine.vc_count(p); ++v) {
+          ASSERT_EQ(&engine.input_vc(r, p, v), first + count)
+              << "r" << r << " p" << p << " v" << v;
+          ++count;
+        }
+      }
+    }
+    EXPECT_EQ(count,
+              static_cast<std::size_t>(topo.num_routers()) * vcs_per_router);
   }
 }
 
@@ -548,10 +603,11 @@ long minor_faults() {
 
 // A process that builds engine after engine (a sweep, a benchmark's
 // setup timing) should reuse the pages the last engine faulted in rather
-// than fault its whole state in again. At h=6 the per-VC and per-port
-// arrays are ~4 MB; as a dozen separate heap arrays they were trimmed off
-// the heap top at every destruction and each build re-faulted ~1000
-// pages. Now they share one block that the next engine takes over.
+// than fault its whole state in again. At h=6 the engine's state is ~3 MB
+// (~760 pages); as a dozen separate heap arrays the per-VC and per-port
+// state was trimmed off the heap top at every destruction and each build
+// re-faulted ~1000 pages. Now it shares one block that the next engine
+// takes over.
 TEST(EngineState, RepeatBuildsReuseTheirPages) {
 #if defined(DFSIM_TEST_SANITIZED) || !defined(__GLIBC__)
   GTEST_SKIP() << "measures page reuse under glibc malloc";
@@ -572,7 +628,7 @@ TEST(EngineState, RepeatBuildsReuseTheirPages) {
       faults = minor_faults() - before;
       state_pages = engine.footprint_bytes() / 4096;
     }
-    ASSERT_GT(state_pages, 900u);
+    ASSERT_GT(state_pages, 700u);
     EXPECT_LT(static_cast<std::size_t>(faults), state_pages / 20)
         << "the third build faulted " << faults << " of " << state_pages
         << " state pages in afresh";

@@ -118,9 +118,9 @@ TEST(FlowControl, CreditBackpressureBoundsOccupancy) {
   for (int i = 0; i < 12; ++i) net.engine.inject_for_test(0, dst, 0);
   for (Cycle t = 0; t < 400; ++t) {
     net.engine.step();
-    const InputVc& ivc = net.engine.input_vc(
-        topo.router_id(0, 2), topo.local_port_to(2, 0), 0);
-    EXPECT_LE(ivc.occupancy_phits, 32);
+    EXPECT_LE(net.engine.input_occupancy(topo.router_id(0, 2),
+                                         topo.local_port_to(2, 0), 0),
+              32);
   }
   net.engine.run_until(2000);
   EXPECT_EQ(net.engine.delivered_packets(), 12u);

@@ -26,12 +26,11 @@ void check_invariants(const Engine& engine, const DragonflyTopology& topo) {
       const PortClass cls = topo.port_class(p);
       const int cap = engine.buffer_capacity(cls);
       for (VcId v = 0; v < engine.vc_count(p); ++v) {
-        const InputVc& ivc = engine.input_vc(r, p, v);
-        ASSERT_GE(ivc.occupancy_phits, 0)
-            << "r" << r << " p" << p << " v" << v;
-        ASSERT_LE(ivc.occupancy_phits, cap)
-            << "r" << r << " p" << p << " v" << v;
-        ASSERT_EQ(ivc.fifo.empty(), ivc.occupancy_phits == 0);
+        // Occupancy is the VC's depth in flits times the flit size, so
+        // an empty FIFO is exactly a zero occupancy.
+        const int occupancy = engine.input_occupancy(r, p, v);
+        ASSERT_GE(occupancy, 0) << "r" << r << " p" << p << " v" << v;
+        ASSERT_LE(occupancy, cap) << "r" << r << " p" << p << " v" << v;
 
         if (cls == PortClass::kTerminal) continue;
         const OutputVc& ovc = engine.output_vc(r, p, v);
@@ -43,7 +42,7 @@ void check_invariants(const Engine& engine, const DragonflyTopology& topo) {
         if (down.router == kInvalid) {
           // Unwired global slot (unbalanced shapes only): never carries
           // traffic, so its input side must stay empty.
-          ASSERT_EQ(ivc.occupancy_phits, 0)
+          ASSERT_EQ(occupancy, 0)
               << "unwired r" << r << " p" << p << " v" << v;
           continue;
         }
@@ -51,13 +50,14 @@ void check_invariants(const Engine& engine, const DragonflyTopology& topo) {
           // Dead port (degraded topologies): wired, but no flit may ever
           // traverse it, so its input side must stay empty and its
           // credits untouched.
-          ASSERT_EQ(ivc.occupancy_phits, 0)
+          ASSERT_EQ(occupancy, 0)
               << "dead r" << r << " p" << p << " v" << v;
           ASSERT_EQ(ovc.credits_phits, cap)
               << "dead r" << r << " p" << p << " v" << v;
         }
-        const InputVc& divc = engine.input_vc(down.router, down.port, v);
-        ASSERT_LE(ovc.credits_phits + divc.occupancy_phits, cap)
+        ASSERT_LE(ovc.credits_phits +
+                      engine.input_occupancy(down.router, down.port, v),
+                  cap)
             << "r" << r << " p" << p << " v" << v
             << ": credits plus downstream occupancy exceed capacity";
       }

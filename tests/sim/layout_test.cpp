@@ -18,6 +18,10 @@ TEST(EngineLayout, AssertBuildSeesTheLibraryLayout) {
 
 TEST(EngineLayout, RecordSizes) {
   EXPECT_EQ(sizeof(Flit), 8u);
+  // The allocation scan reads one InputVc per VC visit, two to a cache
+  // line; a credit's waiter wake reads the OutputVc it just updated.
+  EXPECT_EQ(sizeof(InputVc), 32u);
+  EXPECT_EQ(sizeof(OutputVc), 12u);
   EXPECT_EQ(sizeof(Packet), 64u);
   EXPECT_EQ(alignof(Packet), 64u);
 }

@@ -153,9 +153,11 @@ TEST(PacketPool, FootprintCountsChunksTableAndFreeLists) {
 
 // --- engine memory audit -------------------------------------------------
 
-/// Measured 2814 bytes/terminal (3461 with the static flit arena, 5184
-/// with 12-byte flits, 72-byte packets and doubling slabs), plus 10%.
-constexpr double kH4BytesPerTerminalCeiling = 3100.0;
+/// Measured 1254 bytes/terminal, plus 10% (1510 with every port padded
+/// to the largest VC count in 58 bytes of per-VC state; earlier 2814,
+/// 3461 with the static flit arena, 5184 with 12-byte flits, 72-byte
+/// packets and doubling slabs).
+constexpr double kH4BytesPerTerminalCeiling = 1380.0;
 
 struct ShardedNet {
   explicit ShardedNet(int h, int jobs, double load)
