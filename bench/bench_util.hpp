@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "api/sweep.hpp"
 #include "common/bench_json.hpp"
 #include "common/env.hpp"
+#include "common/text.hpp"
 #include "runtime/parallel_for.hpp"
 #include "sim/engine.hpp"
 #include "topology/dragonfly_topology.hpp"
@@ -26,15 +28,22 @@ namespace dfsim::bench {
 
 /// Parses the common bench flags. `--jobs=N` (or `--jobs N`) sets the
 /// process-wide worker count used by every parallel sweep; DF_JOBS is the
-/// env equivalent, and unset means hardware concurrency.
+/// env equivalent, and unset or 0 means hardware concurrency. Any other
+/// value is a usage error.
 inline void parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      runtime::set_default_jobs(std::atoi(arg + 7));
-    } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-      runtime::set_default_jobs(std::atoi(argv[++i]));
+    const bool joined = std::strncmp(argv[i], "--jobs=", 7) == 0;
+    if (!joined && (std::strcmp(argv[i], "--jobs") != 0 || i + 1 == argc)) {
+      continue;
     }
+    const char* value = joined ? argv[i] + 7 : argv[++i];
+    const std::optional<int> jobs = parse_number<int>(value);
+    if (!jobs || *jobs < 0) {
+      std::cerr << "usage: " << argv[0] << " [--jobs=N]: --jobs expects a "
+                << "non-negative integer, got \"" << value << "\"\n";
+      std::exit(2);
+    }
+    runtime::set_default_jobs(*jobs);
   }
 }
 

@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
   using namespace dfsim;
   bench::BenchReport report("fig_interference", argc, argv);
   SimConfig cfg = bench_defaults();
-  cfg.load = env_double("DF_LOAD", 0.45);
+  cfg.load = env_number("DF_LOAD", 0.45);
   const std::string motif = env_str("DF_MOTIF", "ring-allreduce");
-  const long jobs_n = env_int("DF_JOBS_N", 4);
-  const double fault_fraction = env_double("DF_FAULT_FRACTION", 0.1);
+  const int jobs_n = env_number("DF_JOBS_N", 4);
+  const double fault_fraction = env_number("DF_FAULT_FRACTION", 0.1);
   // Balanced shapes wire exactly one global link per group pair, so the
   // never-disconnect fault sampler has nothing it may kill there; default
   // to the twice-trunked sibling unless the user pinned a shape (the same

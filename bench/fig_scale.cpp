@@ -22,13 +22,13 @@ int main(int argc, char** argv) {
   bench::BenchReport report("fig_scale", argc, argv);
 
   SimConfig cfg;
-  cfg.h = static_cast<int>(env_int("DF_H", 8));  // balanced: p=h, a=2h
+  cfg.h = env_number("DF_H", 8);  // balanced: p=h, a=2h
   cfg.routing = env_str("DF_ROUTING", "olm");
   cfg.pattern = env_str("DF_TRAFFIC", "uniform");
-  cfg.load = env_double("DF_LOAD", 0.30);
-  cfg.warmup_cycles = static_cast<Cycle>(env_int("DF_WARMUP", 2000));
-  cfg.measure_cycles = static_cast<Cycle>(env_int("DF_MEASURE", 4000));
-  cfg.seed = static_cast<std::uint64_t>(env_int("DF_SEED", 1));
+  cfg.load = env_number("DF_LOAD", 0.30);
+  cfg.warmup_cycles = env_number<Cycle>("DF_WARMUP", 2000);
+  cfg.measure_cycles = env_number<Cycle>("DF_MEASURE", 4000);
+  cfg.seed = env_number<std::uint64_t>("DF_SEED", 1);
   cfg.engine = env_str("DF_ENGINE", cfg.engine);
   cfg.validate();
 

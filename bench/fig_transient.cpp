@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
   bench::BenchReport report("fig_transient", argc, argv);
   SimConfig cfg = bench_defaults();
   cfg.pattern = env_str("DF_TRAFFIC", "un");
-  cfg.load = env_double("DF_LOAD", 0.4);
+  cfg.load = env_number("DF_LOAD", 0.4);
   const std::string to = env_str("DF_TRANSIENT_TO", "advg+1");
-  const int windows = static_cast<int>(env_int("DF_WINDOWS", 8));
+  const int windows = env_number("DF_WINDOWS", 8);
 
   bench::banner("Transient: throughput vs time across a " +
                     cfg.pattern + " -> " + to + " switch @" +

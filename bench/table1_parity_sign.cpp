@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n# Route-count guarantees (>= h-1 per ordered pair)\n";
   std::cout << "h,group_size,min_two_hop_routes,max_two_hop_routes\n";
-  const int max_h = static_cast<int>(env_int("DF_MAX_H", 16));
+  const int max_h = env_number("DF_MAX_H", 16);
   for (int h = 2; h <= max_h; h *= 2) {
     const int a = DragonflyTopology(h).routers_per_group();
     std::cout << h << ',' << a << ','

@@ -60,8 +60,8 @@ void cleanup_stale_temps(const std::string& dir, double ttl_s) {
 }
 
 double env_claim_ttl() {
-  const double ttl = env_double("DF_CLAIM_TTL", 60.0);
-  if (ttl <= 0.0) {
+  const double ttl = env_number("DF_CLAIM_TTL", 60.0);
+  if (!(ttl > 0.0)) {  // negated so NaN fails too
     std::fprintf(stderr,
                  "dfsim: ignoring DF_CLAIM_TTL=%g (lease TTL must be "
                  "positive; using 60)\n",

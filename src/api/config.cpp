@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "common/env.hpp"
+#include "common/text.hpp"
 #include "topology/fault_model.hpp"
 #include "traffic/factory.hpp"
 #include "traffic/workload.hpp"
@@ -21,80 +25,41 @@ TopoParams parse_topo_spec(const std::string& spec) {
       spec.find_first_not_of("0123456789") == std::string::npos) {
     return parse_topo_spec("h" + spec);
   }
-  bool seen[4] = {false, false, false, false};  // p, a, h, g
+  const auto fail = [&spec](const std::string& why) {
+    throw std::invalid_argument("topology spec \"" + spec + "\": " + why);
+  };
+  int* const fields[] = {&tp.p, &tp.a, &tp.h, &tp.g};
+  bool seen[4] = {false, false, false, false};
   std::size_t i = 0;
   while (i < spec.size()) {
-    const char c = spec[i];
-    if (c == ' ' || c == ',' || c == ';' || c == ':' || c == '=') {
-      ++i;
-      continue;
+    const char c = spec[i++];
+    if (std::string_view(" ,;:=").find(c) != std::string_view::npos) continue;
+    const std::string dim = "dimension '" + std::string(1, c) + "'";
+    const std::size_t slot = std::string_view("pahg").find(
+        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    if (slot == std::string_view::npos) {
+      fail("unknown " + dim + " (expected p, a, h or g)");
     }
-    int* field = nullptr;
-    int slot = -1;
-    switch (std::tolower(static_cast<unsigned char>(c))) {
-      case 'p':
-        field = &tp.p;
-        slot = 0;
-        break;
-      case 'a':
-        field = &tp.a;
-        slot = 1;
-        break;
-      case 'h':
-        field = &tp.h;
-        slot = 2;
-        break;
-      case 'g':
-        field = &tp.g;
-        slot = 3;
-        break;
-      default:
-        throw std::invalid_argument(
-            "topology spec \"" + spec + "\": unknown dimension '" +
-            std::string(1, c) + "' (expected p, a, h or g)");
-    }
-    ++i;
     while (i < spec.size() && (spec[i] == ' ' || spec[i] == '=')) ++i;
-    std::size_t digits = i;
-    while (digits < spec.size() &&
-           std::isdigit(static_cast<unsigned char>(spec[digits]))) {
-      ++digits;
-    }
-    if (digits == i) {
-      throw std::invalid_argument("topology spec \"" + spec +
-                                  "\": dimension '" + std::string(1, c) +
-                                  "' has no value");
-    }
-    // Bound the value before std::stoi so oversized dimensions get the
-    // documented invalid_argument (not out_of_range), and downstream
-    // a*h arithmetic stays far from integer overflow.
-    if (digits - i > 7) {
-      throw std::invalid_argument("topology spec \"" + spec +
-                                  "\": dimension '" + std::string(1, c) +
-                                  "' value is out of range (max 7 digits)");
-    }
-    if (seen[slot]) {
-      throw std::invalid_argument("topology spec \"" + spec +
-                                  "\": dimension '" + std::string(1, c) +
-                                  "' given twice");
-    }
+    const std::size_t digits =
+        std::min(spec.find_first_not_of("0123456789", i), spec.size());
+    if (digits == i) fail(dim + " has no value");
+    // At most 7 digits keeps downstream a*h arithmetic far from overflow.
+    if (digits - i > 7) fail(dim + " value is out of range (max 7 digits)");
+    if (seen[slot]) fail(dim + " given twice");
     seen[slot] = true;
-    *field = std::stoi(spec.substr(i, digits - i));
+    *fields[slot] =
+        *parse_number<int>(std::string_view(spec).substr(i, digits - i));
     i = digits;
   }
-  if (!seen[2]) {
-    throw std::invalid_argument("topology spec \"" + spec +
-                                "\": missing mandatory dimension 'h'");
-  }
+  if (!seen[2]) fail("missing mandatory dimension 'h'");
   if (!seen[0]) tp.p = tp.h;
   if (!seen[1]) tp.a = 2 * tp.h;
   if (!seen[3]) {
     const long long max_g =
         static_cast<long long>(tp.a) * static_cast<long long>(tp.h) + 1;
     if (max_g > INT32_MAX) {
-      throw std::invalid_argument(
-          "topology spec \"" + spec +
-          "\": balanced default g = a*h + 1 overflows; give g explicitly");
+      fail("balanced default g = a*h + 1 overflows; give g explicitly");
     }
     tp.g = static_cast<int>(max_g);
   }
@@ -327,195 +292,124 @@ RoutingParams SimConfig::routing_params() const {
 
 namespace {
 
-/// Shortest decimal form that reparses to the exact same double (%.17g is
-/// guaranteed to round-trip IEEE-754 binary64).
-std::string fmt_f64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+// One text form per knob type. read() returns what it expected when the
+// text does not parse, leaving the knob untouched, and nullptr otherwise.
+template <class T>
+const char* read(std::string_view text, T& knob) {
+  if (const std::optional<T> v = parse_number<T>(text)) {
+    knob = *v;
+    return nullptr;
+  }
+  if (std::is_floating_point_v<T>) return "a number";
+  return std::is_signed_v<T> ? "a 32-bit integer" : "a non-negative integer";
+}
+const char* read(std::string_view text, std::string& knob) {
+  knob = text;
+  return nullptr;
+}
+const char* read(std::string_view text, GlobalArrangement& knob) {
+  if (text == "absolute") knob = GlobalArrangement::kAbsolute;
+  else if (text == "palmtree") knob = GlobalArrangement::kPalmtree;
+  else return "absolute or palmtree";
+  return nullptr;
+}
+const char* read(std::string_view text, FlowControl& knob) {
+  if (text == "vct") knob = FlowControl::kVirtualCutThrough;
+  else if (text == "wormhole") knob = FlowControl::kWormhole;
+  else return "vct or wormhole";
+  return nullptr;
 }
 
-long long parse_int_value(const std::string& key, const std::string& v) {
-  std::size_t used = 0;
-  long long out = 0;
-  try {
-    out = std::stoll(v, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != v.size() || v.empty()) {
-    throw std::invalid_argument("config key \"" + key +
-                                "\": expected an integer, got \"" + v + "\"");
-  }
-  return out;
+template <class T>
+void write(std::ostream& os, const T& knob) {
+  os << knob;
+}
+void write(std::ostream& os, double knob) { os << fmt_f64(knob); }
+void write(std::ostream& os, GlobalArrangement knob) {
+  os << (knob == GlobalArrangement::kPalmtree ? "palmtree" : "absolute");
+}
+void write(std::ostream& os, FlowControl knob) {
+  os << (knob == FlowControl::kWormhole ? "wormhole" : "vct");
 }
 
-double parse_double_value(const std::string& key, const std::string& v) {
-  std::size_t used = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != v.size() || v.empty()) {
-    throw std::invalid_argument("config key \"" + key +
-                                "\": expected a number, got \"" + v + "\"");
-  }
-  return out;
-}
-
-std::string trimmed(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
+/// Every knob, named once, in describe() order: v(key, member, env) with
+/// the DF_* variable bench_defaults() reads, or nullptr. A new knob is one
+/// line here.
+template <class Config, class Visitor>
+void for_each_knob(Config& c, Visitor&& v) {
+  v("h", c.h, "DF_H");
+  v("p", c.p, "DF_P");
+  v("a", c.a, "DF_A");
+  v("g", c.g, "DF_G");
+  v("topo", c.topo, "DF_TOPO");
+  v("arrangement", c.arrangement, nullptr);
+  v("fault_spec", c.fault_spec, "DF_FAULTS");
+  v("fault_fraction", c.fault_fraction, "DF_FAULT_FRACTION");
+  v("fault_seed", c.fault_seed, "DF_FAULT_SEED");
+  v("flow", c.flow, nullptr);
+  v("packet_phits", c.packet_phits, nullptr);
+  v("flit_phits", c.flit_phits, nullptr);
+  v("local_vcs", c.local_vcs, nullptr);
+  v("global_vcs", c.global_vcs, nullptr);
+  v("local_buf_phits", c.local_buf_phits, nullptr);
+  v("global_buf_phits", c.global_buf_phits, nullptr);
+  v("local_latency", c.local_latency, nullptr);
+  v("global_latency", c.global_latency, nullptr);
+  v("routing", c.routing, nullptr);
+  v("misroute_threshold", c.misroute_threshold, nullptr);
+  v("global_candidates", c.global_candidates, nullptr);
+  v("local_candidates", c.local_candidates, nullptr);
+  v("pb_threshold", c.pb_threshold, nullptr);
+  v("pb_period", c.pb_period, nullptr);
+  v("pattern", c.pattern, "DF_TRAFFIC");
+  v("pattern_offset", c.pattern_offset, nullptr);
+  v("global_fraction", c.global_fraction, nullptr);
+  v("load", c.load, nullptr);
+  v("onoff_on", c.onoff_on, "DF_ONOFF_ON");
+  v("onoff_off", c.onoff_off, "DF_ONOFF_OFF");
+  v("workload", c.workload, "DF_WORKLOAD");
+  v("engine", c.engine, "DF_ENGINE");
+  v("warmup_cycles", c.warmup_cycles, "DF_WARMUP");
+  v("measure_cycles", c.measure_cycles, "DF_MEASURE");
+  v("burst_packets", c.burst_packets, "DF_BURST");
+  v("max_cycles", c.max_cycles, nullptr);
+  v("watchdog_cycles", c.watchdog_cycles, nullptr);
+  v("seed", c.seed, "DF_SEED");
 }
 
 }  // namespace
 
 std::string SimConfig::describe() const {
   std::ostringstream os;
-  os << "h=" << h << '\n';
-  os << "p=" << p << '\n';
-  os << "a=" << a << '\n';
-  os << "g=" << g << '\n';
-  os << "topo=" << topo << '\n';
-  os << "arrangement="
-     << (arrangement == GlobalArrangement::kPalmtree ? "palmtree"
-                                                     : "absolute")
-     << '\n';
-  os << "fault_spec=" << fault_spec << '\n';
-  os << "fault_fraction=" << fmt_f64(fault_fraction) << '\n';
-  os << "fault_seed=" << fault_seed << '\n';
-  os << "flow=" << (flow == FlowControl::kWormhole ? "wormhole" : "vct")
-     << '\n';
-  os << "packet_phits=" << packet_phits << '\n';
-  os << "flit_phits=" << flit_phits << '\n';
-  os << "local_vcs=" << local_vcs << '\n';
-  os << "global_vcs=" << global_vcs << '\n';
-  os << "local_buf_phits=" << local_buf_phits << '\n';
-  os << "global_buf_phits=" << global_buf_phits << '\n';
-  os << "local_latency=" << local_latency << '\n';
-  os << "global_latency=" << global_latency << '\n';
-  os << "routing=" << routing << '\n';
-  os << "misroute_threshold=" << fmt_f64(misroute_threshold) << '\n';
-  os << "global_candidates=" << global_candidates << '\n';
-  os << "local_candidates=" << local_candidates << '\n';
-  os << "pb_threshold=" << fmt_f64(pb_threshold) << '\n';
-  os << "pb_period=" << pb_period << '\n';
-  os << "pattern=" << pattern << '\n';
-  os << "pattern_offset=" << pattern_offset << '\n';
-  os << "global_fraction=" << fmt_f64(global_fraction) << '\n';
-  os << "load=" << fmt_f64(load) << '\n';
-  os << "onoff_on=" << fmt_f64(onoff_on) << '\n';
-  os << "onoff_off=" << fmt_f64(onoff_off) << '\n';
-  os << "workload=" << workload << '\n';
-  os << "engine=" << engine << '\n';
-  os << "warmup_cycles=" << warmup_cycles << '\n';
-  os << "measure_cycles=" << measure_cycles << '\n';
-  os << "burst_packets=" << burst_packets << '\n';
-  os << "max_cycles=" << max_cycles << '\n';
-  os << "watchdog_cycles=" << watchdog_cycles << '\n';
-  os << "seed=" << seed << '\n';
+  for_each_knob(*this, [&os](const char* key, const auto& knob, const char*) {
+    os << key << '=';
+    write(os, knob);
+    os << '\n';
+  });
   return os.str();
 }
 
 void SimConfig::set(const std::string& key, const std::string& value) {
-  const auto as_int = [&] {
-    const long long v = parse_int_value(key, value);
-    if (v > INT32_MAX || v < INT32_MIN) {
-      throw std::invalid_argument("config key \"" + key +
-                                  "\": value out of 32-bit range");
+  bool known = false;
+  for_each_knob(*this, [&](const char* name, auto& knob, const char*) {
+    if (known || key != name) return;
+    known = true;
+    if (const char* want = read(value, knob)) {
+      throw std::invalid_argument("config key \"" + key + "\": expected " +
+                                  want + ", got \"" + value + "\"");
     }
-    return static_cast<int>(v);
-  };
-  const auto as_u64 = [&] {
-    return static_cast<std::uint64_t>(parse_int_value(key, value));
-  };
-  const auto as_f64 = [&] { return parse_double_value(key, value); };
-
-  if (key == "h") h = as_int();
-  else if (key == "p") p = as_int();
-  else if (key == "a") a = as_int();
-  else if (key == "g") g = as_int();
-  else if (key == "topo") topo = value;
-  else if (key == "arrangement") {
-    if (value == "absolute") arrangement = GlobalArrangement::kAbsolute;
-    else if (value == "palmtree") arrangement = GlobalArrangement::kPalmtree;
-    else {
-      throw std::invalid_argument(
-          "config key \"arrangement\": expected absolute or palmtree, "
-          "got \"" + value + "\"");
-    }
-  } else if (key == "fault_spec") fault_spec = value;
-  else if (key == "fault_fraction") fault_fraction = as_f64();
-  else if (key == "fault_seed") fault_seed = as_u64();
-  else if (key == "flow") {
-    if (value == "vct") flow = FlowControl::kVirtualCutThrough;
-    else if (value == "wormhole") flow = FlowControl::kWormhole;
-    else {
-      throw std::invalid_argument(
-          "config key \"flow\": expected vct or wormhole, got \"" + value +
-          "\"");
-    }
-  } else if (key == "packet_phits") packet_phits = as_int();
-  else if (key == "flit_phits") flit_phits = as_int();
-  else if (key == "local_vcs") local_vcs = as_int();
-  else if (key == "global_vcs") global_vcs = as_int();
-  else if (key == "local_buf_phits") local_buf_phits = as_int();
-  else if (key == "global_buf_phits") global_buf_phits = as_int();
-  else if (key == "local_latency") local_latency = as_int();
-  else if (key == "global_latency") global_latency = as_int();
-  else if (key == "routing") routing = value;
-  else if (key == "misroute_threshold") misroute_threshold = as_f64();
-  else if (key == "global_candidates") global_candidates = as_int();
-  else if (key == "local_candidates") local_candidates = as_int();
-  else if (key == "pb_threshold") pb_threshold = as_f64();
-  else if (key == "pb_period") pb_period = as_int();
-  else if (key == "pattern") pattern = value;
-  else if (key == "pattern_offset") pattern_offset = as_int();
-  else if (key == "global_fraction") global_fraction = as_f64();
-  else if (key == "load") load = as_f64();
-  else if (key == "onoff_on") onoff_on = as_f64();
-  else if (key == "onoff_off") onoff_off = as_f64();
-  else if (key == "workload") workload = value;
-  else if (key == "engine") engine = value;
-  else if (key == "warmup_cycles") warmup_cycles = static_cast<Cycle>(as_u64());
-  else if (key == "measure_cycles") {
-    measure_cycles = static_cast<Cycle>(as_u64());
-  } else if (key == "burst_packets") burst_packets = as_u64();
-  else if (key == "max_cycles") max_cycles = static_cast<Cycle>(as_u64());
-  else if (key == "watchdog_cycles") {
-    watchdog_cycles = static_cast<Cycle>(as_u64());
-  } else if (key == "seed") seed = as_u64();
-  else {
+  });
+  if (!known) {
     throw std::invalid_argument("config: unknown key \"" + key + "\"");
   }
 }
 
 SimConfig SimConfig::parse(const std::string& text) {
   SimConfig cfg;
-  std::istringstream is(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::string t = trimmed(line);
-    if (t.empty() || t[0] == '#') continue;
-    const std::size_t eq = t.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument(
-          "config line " + std::to_string(lineno) +
-          ": expected key=value, got \"" + t + "\"");
-    }
-    try {
-      cfg.set(trimmed(t.substr(0, eq)), trimmed(t.substr(eq + 1)));
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("config line " + std::to_string(lineno) +
-                                  ": " + e.what());
-    }
-  }
+  for_each_setting(text, "config",
+                   [&cfg](const std::string& key, const std::string& value) {
+                     cfg.set(key, value);
+                   });
   return cfg;
 }
 
@@ -533,36 +427,16 @@ SimConfig bench_defaults() {
     cfg.measure_cycles = 8000;
     cfg.burst_packets = 200;
   }
-  cfg.h = static_cast<int>(env_int("DF_H", cfg.h));
-  // Unbalanced-shape knobs; 0 (the default) keeps the balanced shorthand.
-  cfg.p = static_cast<int>(env_int("DF_P", cfg.p));
-  cfg.a = static_cast<int>(env_int("DF_A", cfg.a));
-  cfg.g = static_cast<int>(env_int("DF_G", cfg.g));
-  cfg.topo = env_str("DF_TOPO", cfg.topo);
-  cfg.warmup_cycles =
-      static_cast<Cycle>(env_int("DF_WARMUP", static_cast<std::int64_t>(
-                                                  cfg.warmup_cycles)));
-  cfg.measure_cycles =
-      static_cast<Cycle>(env_int("DF_MEASURE", static_cast<std::int64_t>(
-                                                   cfg.measure_cycles)));
-  cfg.burst_packets = static_cast<std::uint64_t>(
-      env_int("DF_BURST", static_cast<std::int64_t>(cfg.burst_packets)));
-  cfg.seed = static_cast<std::uint64_t>(env_int("DF_SEED", 1));
-  // Traffic knobs (README "Traffic patterns"). Benches with fixed panels
-  // (fig04-11) override the pattern per panel; DF_TRAFFIC drives the
-  // single-pattern binaries (quickstart, fig_transient base phase, ...).
-  cfg.pattern = env_str("DF_TRAFFIC", cfg.pattern);
-  // Workload spec (README "Workloads"); empty runs the plain pattern.
-  cfg.workload = env_str("DF_WORKLOAD", cfg.workload);
-  // Engine mode (README "Engine internals"): exact (default) or sharded.
-  cfg.engine = env_str("DF_ENGINE", cfg.engine);
-  cfg.onoff_on = env_double("DF_ONOFF_ON", cfg.onoff_on);
-  cfg.onoff_off = env_double("DF_ONOFF_OFF", cfg.onoff_off);
-  // Degraded-network knobs (README "Faults"); all default to healthy.
-  cfg.fault_spec = env_str("DF_FAULTS", cfg.fault_spec);
-  cfg.fault_fraction = env_double("DF_FAULT_FRACTION", cfg.fault_fraction);
-  cfg.fault_seed = static_cast<std::uint64_t>(
-      env_int("DF_FAULT_SEED", static_cast<std::int64_t>(cfg.fault_seed)));
+  // Each knob's DF_* override (README "Figure benches"). A value that
+  // does not parse as the knob's type keeps the preset, with a warning.
+  for_each_knob(cfg, [](const char*, auto& knob, const char* env) {
+    const char* raw = env != nullptr ? std::getenv(env) : nullptr;
+    if (raw == nullptr || *raw == '\0') return;
+    if (const char* want = read(trim(raw), knob)) {
+      std::fprintf(stderr, "dfsim: ignoring %s=\"%s\" (expected %s)\n", env,
+                   raw, want);
+    }
+  });
   return cfg;
 }
 

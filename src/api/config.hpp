@@ -156,9 +156,8 @@ struct SimConfig {
   static SimConfig parse(const std::string& text);
 };
 
-/// Defaults for bench binaries: laptop scale unless DF_FULL=1, overridable
-/// via DF_H, DF_P, DF_A, DF_G, DF_TOPO, DF_WARMUP, DF_MEASURE, DF_SEED,
-/// DF_BURST, DF_TRAFFIC, DF_WORKLOAD, DF_ENGINE, DF_FAULTS.
+/// Defaults for bench binaries: laptop scale unless DF_FULL=1, then each
+/// knob's DF_* variable (DF_H, DF_WARMUP, ...; the knob list in config.cpp).
 SimConfig bench_defaults();
 
 }  // namespace dfsim

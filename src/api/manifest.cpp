@@ -11,12 +11,14 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "api/claim.hpp"
 #include "common/bench_json.hpp"
 #include "common/csv.hpp"
 #include "common/env.hpp"
+#include "common/text.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/seed.hpp"
 
@@ -24,32 +26,14 @@ namespace dfsim {
 
 namespace {
 
-std::string trimmed(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' ||
-                   s[e - 1] == '\r')) {
-    --e;
-  }
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> split_list(const std::string& s, char sep) {
+// The non-blank items of a comma-separated grid axis.
+std::vector<std::string> axis_values(const std::string& s) {
   std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(s);
-  while (std::getline(is, item, sep)) {
-    const std::string t = trimmed(item);
-    if (!t.empty()) out.push_back(t);
+  for (const std::string& item : split(s, ',')) {
+    std::string value = trim(item);
+    if (!value.empty()) out.push_back(std::move(value));
   }
   return out;
-}
-
-std::string fmt_f64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 // Parse one `phase = cycles=N windows=M [pattern=P] [load=X]` value.
@@ -66,23 +50,23 @@ Phase parse_phase_value(const std::string& value) {
     }
     const std::string key = token.substr(0, eq);
     const std::string val = token.substr(eq + 1);
-    try {
-      if (key == "cycles") {
-        phase.cycles = static_cast<Cycle>(std::stoull(val));
-        have_cycles = true;
-      } else if (key == "windows") {
-        phase.windows = std::stoi(val);
-      } else if (key == "pattern") {
-        phase.pattern = val;
-      } else if (key == "load") {
-        phase.load = std::stod(val);
-      } else {
-        throw std::invalid_argument("unknown phase key '" + key + "'");
-      }
-    } catch (const std::invalid_argument&) {
-      throw;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad phase value '" + token + "'");
+    const auto number = [&](auto& field) {
+      const auto v =
+          parse_number<std::remove_reference_t<decltype(field)>>(val);
+      if (!v) throw std::invalid_argument("bad phase value '" + token + "'");
+      field = *v;
+    };
+    if (key == "cycles") {
+      number(phase.cycles);
+      have_cycles = true;
+    } else if (key == "windows") {
+      number(phase.windows);
+    } else if (key == "pattern") {
+      phase.pattern = val;
+    } else if (key == "load") {
+      number(phase.load);
+    } else {
+      throw std::invalid_argument("unknown phase key '" + key + "'");
     }
   }
   if (!have_cycles) {
@@ -98,36 +82,22 @@ std::string point_file(const std::string& run_dir, std::size_t index,
   return run_dir + "/" + buf + ext;
 }
 
+// Name the first line where the stored manifest and the current one part
+// ways — the resume-time drift diagnostic.
+std::string drift_line(const std::string& stored, const std::string& current) {
+  const std::optional<LineDifference> d =
+      first_line_difference(stored, current);
+  if (!d) return "no difference";
+  return "line " + std::to_string(d->line) + " is \"" + d->a +
+         "\" in the run directory but \"" + d->b + "\" in this manifest";
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot read " + path);
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
-}
-
-// Name the first line where the stored manifest and the current one part
-// ways — the resume-time drift diagnostic.
-std::string first_line_difference(const std::string& stored,
-                                  const std::string& current) {
-  std::istringstream sa(stored);
-  std::istringstream sb(current);
-  std::string la;
-  std::string lb;
-  int line = 1;
-  while (true) {
-    const bool ha = static_cast<bool>(std::getline(sa, la));
-    const bool hb = static_cast<bool>(std::getline(sb, lb));
-    if (!ha && !hb) return "no difference";
-    if (la != lb || ha != hb) {
-      std::ostringstream os;
-      os << "line " << line << " is \"" << (ha ? la : "<missing>")
-         << "\" in the run directory but \"" << (hb ? lb : "<missing>")
-         << "\" in this manifest";
-      return os.str();
-    }
-    ++line;
-  }
 }
 
 // CSV rows of one completed point, header-less (the merge step writes
@@ -163,53 +133,31 @@ std::string point_rows(const ExperimentResult& r) {
 
 Manifest Manifest::parse(const std::string& text) {
   Manifest m;
-  std::istringstream is(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(is, raw)) {
-    ++line_no;
-    const std::string line = trimmed(raw);
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("manifest line " +
-                                  std::to_string(line_no) +
-                                  ": expected key = value, got '" + line +
-                                  "'");
-    }
-    const std::string key = trimmed(line.substr(0, eq));
-    const std::string value = trimmed(line.substr(eq + 1));
-    try {
-      if (key == "name") {
-        if (value.empty() ||
-            value.find_first_of("/\\ \t") != std::string::npos) {
-          throw std::invalid_argument(
-              "name must be non-empty without slashes or spaces");
-        }
-        m.name = value;
-      } else if (key == "phase") {
-        m.phases.push_back(parse_phase_value(value));
-      } else if (key.rfind("grid.", 0) == 0) {
-        const std::string axis_key = key.substr(5);
-        const std::vector<std::string> values = split_list(value, ',');
-        if (values.empty()) {
-          throw std::invalid_argument("axis '" + axis_key +
-                                      "' has no values");
-        }
-        for (const std::string& v : values) {
-          SimConfig probe;  // validates the key and value shape eagerly
-          probe.set(axis_key, v);
-        }
-        m.axes.emplace_back(axis_key, values);
-      } else {
-        m.base.set(key, value);
+  for_each_setting(text, "manifest", [&m](const std::string& key,
+                                          const std::string& value) {
+    if (key == "name") {
+      if (value.empty() || value.find_first_of("/\\ \t") != std::string::npos) {
+        throw std::invalid_argument(
+            "name must be non-empty without slashes or spaces");
       }
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("manifest line " +
-                                  std::to_string(line_no) + ": " +
-                                  e.what());
+      m.name = value;
+    } else if (key == "phase") {
+      m.phases.push_back(parse_phase_value(value));
+    } else if (key.rfind("grid.", 0) == 0) {
+      const std::string axis_key = key.substr(5);
+      const std::vector<std::string> values = axis_values(value);
+      if (values.empty()) {
+        throw std::invalid_argument("axis '" + axis_key + "' has no values");
+      }
+      for (const std::string& v : values) {
+        SimConfig probe;  // validates the key and value shape eagerly
+        probe.set(axis_key, v);
+      }
+      m.axes.emplace_back(axis_key, values);
+    } else {
+      m.base.set(key, value);
     }
-  }
+  });
   return m;
 }
 
@@ -291,17 +239,7 @@ std::string Manifest::describe() const {
 
 Cycle resolve_checkpoint_every(Cycle opt_value) {
   if (opt_value > 0) return opt_value;
-  const std::int64_t v = env_int("DF_CHECKPOINT_EVERY", 20000);
-  if (v < 0) {
-    // A raw cast would wrap the negative to a huge unsigned Cycle and
-    // silently disable checkpointing; reject like every other env knob.
-    std::fprintf(stderr,
-                 "dfsim: ignoring DF_CHECKPOINT_EVERY=%lld (checkpoint "
-                 "cadence must be non-negative; using 20000)\n",
-                 static_cast<long long>(v));
-    return 20000;
-  }
-  return static_cast<Cycle>(v);
+  return env_number<Cycle>("DF_CHECKPOINT_EVERY", 20000);
 }
 
 namespace {
@@ -343,7 +281,7 @@ ManifestRunSummary run_manifest(const Manifest& m,
     if (stored != desc) {
       throw std::runtime_error(
           "manifest drift against run directory " + run_dir + ": " +
-          first_line_difference(stored, desc) +
+          drift_line(stored, desc) +
           "; use a fresh run directory or restore the original manifest");
     }
   } else {

@@ -5,7 +5,8 @@
 // checkpoints, and crash-safe resume.
 //
 // A manifest is line-oriented `key = value` text (# comments, blank
-// lines allowed):
+// lines allowed; a number must be the whole value, and a count takes no
+// sign):
 //
 //   name = olm_vs_minimal            # run name (ledger dir, BENCH record)
 //   h = 2                            # any SimConfig::describe() key sets

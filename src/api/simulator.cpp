@@ -1,10 +1,10 @@
 #include "api/simulator.hpp"
 
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/serialize.hpp"
+#include "common/text.hpp"
 #include "metrics/collector.hpp"
 #include "routing/factory.hpp"
 #include "sim/engine.hpp"
@@ -181,18 +181,11 @@ void transfer(Ar& ar, PhaseWindow& pw, int num_jobs) {
 /// config-drift error message.
 std::string first_config_difference(const std::string& saved,
                                     const std::string& current) {
-  std::istringstream a(saved), b(current);
-  std::string la, lb;
-  while (true) {
-    const bool ga = static_cast<bool>(std::getline(a, la));
-    const bool gb = static_cast<bool>(std::getline(b, lb));
-    if (!ga && !gb) return "(identical texts?)";
-    if (!ga || !gb || la != lb) {
-      return "checkpoint has \"" + (ga ? la : std::string("<missing>")) +
-             "\" but this run was built with \"" +
-             (gb ? lb : std::string("<missing>")) + "\"";
-    }
-  }
+  const std::optional<LineDifference> d =
+      first_line_difference(saved, current);
+  if (!d) return "(identical texts?)";
+  return "checkpoint has \"" + d->a + "\" but this run was built with \"" +
+         d->b + "\"";
 }
 
 }  // namespace simrun_detail

@@ -1,10 +1,11 @@
 #include "common/env.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <type_traits>
+
+#include "common/text.hpp"
 
 namespace dfsim {
 
@@ -14,74 +15,34 @@ void warn(const char* name, const char* raw, const char* why) {
   std::fprintf(stderr, "dfsim: ignoring %s=\"%s\" (%s)\n", name, raw, why);
 }
 
-/// True when anything but trailing whitespace follows the parsed number.
-bool trailing_garbage(const char* end) {
-  while (*end != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*end))) return true;
-    ++end;
-  }
-  return false;
-}
-
 }  // namespace
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
+template <class T>
+T env_number(const char* name, T fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || trailing_garbage(end)) {
-    warn(name, raw, "not an integer");
-    return fallback;
-  }
-  if (errno == ERANGE) {
-    warn(name, raw, "out of the 64-bit integer range");
-    return fallback;
-  }
-  return static_cast<std::int64_t>(value);
+  if (const std::optional<T> value = parse_number<T>(trim(raw))) return *value;
+  warn(name, raw,
+       std::is_floating_point_v<T> ? "not a number"
+       : std::is_signed_v<T>       ? "not an integer in range"
+                                   : "not a non-negative integer in range");
+  return fallback;
 }
-
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || trailing_garbage(end)) {
-    warn(name, raw, "not a number");
-    return fallback;
-  }
-  if (errno == ERANGE) {
-    warn(name, raw, "out of the double range");
-    return fallback;
-  }
-  return value;
-}
+template int env_number(const char*, int);
+template std::uint64_t env_number(const char*, std::uint64_t);
+template double env_number(const char*, double);
 
 bool env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return false;
-  if (*raw == '\0') return false;
-  if (std::strcmp(raw, "0") == 0) return false;
-  if (std::strcmp(raw, "false") == 0) return false;
-  if (std::strcmp(raw, "FALSE") == 0) return false;
-  return true;
+  const std::string v = env_str(name, "");
+  return !(v.empty() || v == "0" || v == "false" || v == "FALSE");
 }
 
 int env_jobs() {
-  const std::int64_t jobs = env_int("DF_JOBS", 0);
-  if (jobs < 0) {
-    warn("DF_JOBS", std::getenv("DF_JOBS"),
-         "worker counts must be positive; using auto");
-    return 0;
-  }
-  if (jobs > INT32_MAX) {
-    warn("DF_JOBS", std::getenv("DF_JOBS"),
-         "worker count out of range; using auto");
-    return 0;
-  }
-  return jobs > 0 ? static_cast<int>(jobs) : 0;
+  const int jobs = env_number("DF_JOBS", 0);
+  if (jobs >= 0) return jobs;
+  warn("DF_JOBS", std::getenv("DF_JOBS"),
+       "worker counts must be positive; using auto");
+  return 0;
 }
 
 std::string env_str(const char* name, const std::string& fallback) {

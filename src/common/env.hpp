@@ -8,14 +8,13 @@
 
 namespace dfsim {
 
-/// Integer env var, or `fallback` when unset. Trailing non-numeric input
-/// ("3x") and out-of-range values are rejected — with a warning on
-/// stderr — rather than silently truncated to their numeric prefix.
-std::int64_t env_int(const char* name, std::int64_t fallback);
-
-/// Floating-point env var, or `fallback` when unset. Same trailing-junk
-/// and range policy as env_int.
-double env_double(const char* name, double fallback);
+/// Env var `name` as a T, or `fallback` when unset or empty. Blanks
+/// around the value are ignored. A value that is not a whole T in range
+/// ("3x", "-5" for an unsigned T, "1e999") keeps `fallback`, with a
+/// warning on stderr, rather than being cut to a numeric prefix or
+/// wrapped. Defined for int, std::uint64_t and double.
+template <class T>
+T env_number(const char* name, T fallback);
 
 /// Boolean flag: set and not "0"/"false"/"" -> true.
 bool env_flag(const char* name);

@@ -18,8 +18,7 @@ BarrierTeam::BarrierTeam(int workers, std::function<void(int)> fn,
                       ? 4096
                       : 0;
   }
-  spin_budget_ =
-      static_cast<int>(env_int("DF_BARRIER_SPIN", spin_budget));
+  spin_budget_ = env_number("DF_BARRIER_SPIN", spin_budget);
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });

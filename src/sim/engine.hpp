@@ -94,8 +94,8 @@ struct EngineConfig {
   /// worker's share of the budget).
   int shard_jobs = 0;
 
-  /// Per-phase cycle profiler for sharded mode (DF_PROFILE=1 is
-  /// the env equivalent). Off by default: the hot loop then contains no
+  /// Per-phase cycle profiler, in both modes (DF_PROFILE=1 is the env
+  /// equivalent). Off by default: the hot loop then contains no
   /// clock reads at all — the flag is checked once per step and the
   /// timed path is a separate template instantiation.
   bool profile = false;
@@ -166,11 +166,11 @@ class Engine {
   /// True in sharded mode (one shard per worker, keyed RNG).
   bool sharded() const { return sharded_; }
 
-  /// Per-phase wall-clock totals of sharded mode, accumulated only
+  /// Per-phase wall-clock totals of either mode, accumulated only
   /// while profiling (EngineConfig::profile / DF_PROFILE=1). The four
   /// phase counters tile each step exactly — timestamps are taken at the
   /// phase boundaries, so arrive + deliver + alloc + flush == total by
-  /// construction. All-zero when profiling is off or the engine is exact.
+  /// construction. All-zero when profiling is off.
   struct PhaseProfile {
     std::uint64_t steps = 0;
     std::uint64_t arrive_ns = 0;   ///< parallel: per-shard ring drains
@@ -869,7 +869,7 @@ class Engine {
     return ((g + 1) * shards_.size() - 1) /
            static_cast<std::size_t>(topo_.num_groups());
   }
-  bool profile_ = false;  ///< sharded mode only
+  bool profile_ = false;
   PhaseProfile profile_data_;
   /// keyed_stream domains: routing decisions key on route_stream_key,
   /// injection and message-size draws on the terminal id.

@@ -102,7 +102,7 @@ Engine::~Engine() {
 
 void Engine::init_shards() {
   sharded_ = cfg_.sharded;
-  profile_ = sharded_ && (cfg_.profile || env_flag("DF_PROFILE"));
+  profile_ = cfg_.profile || env_flag("DF_PROFILE");
   // Exact mode never needs the worker count (whose default lookup can
   // read sysfs).
   const int groups = topo_.num_groups();

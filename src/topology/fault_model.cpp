@@ -1,7 +1,6 @@
 #include "topology/fault_model.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "topology/dragonfly_topology.hpp"
 
 namespace dfsim {
@@ -25,16 +25,14 @@ namespace {
 /// Parse the decimal integer in token[pos..); advances pos past it.
 int parse_id(const std::string& spec, const std::string& token,
              std::size_t& pos) {
-  std::size_t end = pos;
-  while (end < token.size() &&
-         std::isdigit(static_cast<unsigned char>(token[end]))) {
-    ++end;
-  }
+  const std::size_t end =
+      std::min(token.find_first_not_of("0123456789", pos), token.size());
   if (end == pos) bad_token(spec, token, "expects a router id here");
-  if (end - pos > 9) bad_token(spec, token, "has an out-of-range router id");
-  const int value = std::stoi(token.substr(pos, end - pos));
+  const std::optional<int> id =
+      parse_number<int>(std::string_view(token).substr(pos, end - pos));
+  if (!id) bad_token(spec, token, "has an out-of-range router id");
   pos = end;
-  return value;
+  return *id;
 }
 
 RouterId checked_router(const DragonflyTopology& topo, const std::string& spec,
@@ -82,20 +80,12 @@ FaultModel FaultModel::parse(const DragonflyTopology& topo,
   std::set<RouterId> routers;
   std::set<std::tuple<RouterId, PortId, RouterId>> links;  // dedup
 
-  std::size_t i = 0;
-  while (i < spec.size()) {
-    const char c = spec[i];
-    if (c == ',' || c == ' ' || c == ';' || c == '\t') {
-      ++i;
-      continue;
-    }
-    std::size_t end = i;
-    while (end < spec.size() && spec[end] != ',' && spec[end] != ' ' &&
-           spec[end] != ';' && spec[end] != '\t') {
-      ++end;
-    }
+  const char* const kSeparators = ", ;\t";
+  std::size_t end = 0;
+  for (std::size_t i; (i = spec.find_first_not_of(kSeparators, end)) !=
+                      std::string::npos;) {
+    end = std::min(spec.find_first_of(kSeparators, i), spec.size());
     const std::string token = spec.substr(i, end - i);
-    i = end;
 
     const std::size_t colon = token.find(':');
     const std::string kind = colon == std::string::npos

@@ -1,22 +1,14 @@
 #include "traffic/factory.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
+#include "common/text.hpp"
 #include "traffic/pattern.hpp"
 
 namespace dfsim {
 
 namespace {
-
-std::string lower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   throw std::invalid_argument("traffic spec \"" + spec + "\": " + why);
@@ -27,37 +19,22 @@ std::string lower(const std::string& s) {
 int parse_offset(const std::string& args, const std::string& spec,
                  const char* help) {
   if (args.empty()) return 1;
-  if ((args[0] != '+' && args[0] != '-') || args.size() < 2) {
-    bad_spec(spec, std::string("expected ") + help);
-  }
-  std::size_t pos = 0;
-  int value = 0;
-  try {
-    value = std::stoi(args, &pos);
-  } catch (const std::exception&) {
-    bad_spec(spec, std::string("expected ") + help);
-  }
-  if (pos != args.size()) {
-    bad_spec(spec, "trailing characters \"" + args.substr(pos) +
+  const std::optional<SignedPrefix> offset = parse_signed_prefix(args);
+  if (!offset) bad_spec(spec, std::string("expected ") + help);
+  if (!offset->rest.empty()) {
+    bad_spec(spec, "trailing characters \"" + std::string(offset->rest) +
                        "\" after the offset");
   }
-  return value;
+  return offset->value;
 }
 
 double parse_fraction(const std::string& text, const std::string& spec,
                       const char* what) {
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &pos);
-  } catch (const std::exception&) {
+  const std::optional<double> value = parse_number<double>(text);
+  if (!value) {
     bad_spec(spec, std::string(what) + " \"" + text + "\" is not a number");
   }
-  if (pos != text.size()) {
-    bad_spec(spec, std::string("trailing characters \"") + text.substr(pos) +
-                       "\" after the " + what);
-  }
-  return value;
+  return *value;
 }
 
 std::unique_ptr<TrafficPattern> build_single(const DragonflyTopology* topo,
@@ -129,11 +106,11 @@ std::unique_ptr<TrafficPattern> build_hotspot(const DragonflyTopology* topo,
       bad_spec(spec, "hotspot group \"" + group_text +
                          "\" is not a non-negative integer");
     }
-    try {
-      group = std::stoi(group_text);
-    } catch (const std::exception&) {
+    const std::optional<int> parsed = parse_number<int>(group_text);
+    if (!parsed) {
       bad_spec(spec, "hotspot group \"" + group_text + "\" is out of range");
     }
+    group = *parsed;
   }
   if (topo == nullptr) return nullptr;
   try {
@@ -178,12 +155,7 @@ std::unique_ptr<TrafficPattern> build_mix(const DragonflyTopology* topo,
              "mix:un=0.7,advg+1=0.3");
   }
   std::vector<WeightedMixPattern::Component> components;
-  std::string body = args.substr(1);
-  std::size_t start = 0;
-  while (start <= body.size()) {
-    std::size_t comma = body.find(',', start);
-    if (comma == std::string::npos) comma = body.size();
-    const std::string comp = body.substr(start, comma - start);
+  for (const std::string& comp : split(args.substr(1), ',')) {
     // Split at the LAST '=' so component specs may themselves contain
     // '='-free arguments of any shape.
     const std::size_t eq = comp.rfind('=');
@@ -202,8 +174,6 @@ std::unique_ptr<TrafficPattern> build_mix(const DragonflyTopology* topo,
     if (topo != nullptr) {
       components.push_back({std::move(pattern), weight});
     }
-    start = comma + 1;
-    if (comma == body.size()) break;
   }
   if (topo == nullptr) return nullptr;
   return std::make_unique<WeightedMixPattern>(std::move(components));

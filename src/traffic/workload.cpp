@@ -1,14 +1,13 @@
 #include "traffic/workload.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/serialize.hpp"
+#include "common/text.hpp"
 
 namespace dfsim {
 
@@ -28,14 +27,6 @@ namespace {
 
 using Job = Workload::Job;
 
-std::string lower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   throw std::invalid_argument("workload spec \"" + spec + "\": " + why);
 }
@@ -46,25 +37,15 @@ int parse_int(const std::string& text, const std::string& spec,
       text.find_first_not_of("0123456789") != std::string::npos) {
     bad_spec(spec, what + " \"" + text + "\" is not a non-negative integer");
   }
-  try {
-    return std::stoi(text);
-  } catch (const std::exception&) {
-    bad_spec(spec, what + " \"" + text + "\" is out of range");
-  }
+  const std::optional<int> value = parse_number<int>(text);
+  if (!value) bad_spec(spec, what + " \"" + text + "\" is out of range");
+  return *value;
 }
 
 double parse_load(const std::string& text, const std::string& spec) {
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &pos);
-  } catch (const std::exception&) {
-    bad_spec(spec, "job load \"" + text + "\" is not a number");
-  }
-  if (pos != text.size()) {
-    bad_spec(spec, "trailing characters \"" + text.substr(pos) +
-                       "\" after the job load");
-  }
+  const std::optional<double> parsed = parse_number<double>(text);
+  if (!parsed) bad_spec(spec, "job load \"" + text + "\" is not a number");
+  const double value = *parsed;
   if (!(value >= 0.0) || value > 1.0) {
     bad_spec(spec, "job load must be in [0, 1], got " + text);
   }
@@ -81,15 +62,7 @@ Job parse_motif(const std::string& text, const std::string& spec,
     bad_spec(spec, "motif is missing (known motifs: alltoall, "
                    "ring-allreduce, halo2d, shift)");
   }
-  std::vector<std::string> tokens;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t colon = text.find(':', start);
-    if (colon == std::string::npos) colon = text.size();
-    tokens.push_back(text.substr(start, colon - start));
-    start = colon + 1;
-    if (colon == text.size()) break;
-  }
+  const std::vector<std::string> tokens = split(text, ':');
 
   const std::string& head = tokens[0];
   if (head == "alltoall" || head == "a2a" || head == "un" ||
@@ -107,20 +80,16 @@ Job parse_motif(const std::string& text, const std::string& spec,
     job.label = head;
     const std::string offs = head.substr(5);
     if (!offs.empty()) {
-      if ((offs[0] != '+' && offs[0] != '-') || offs.size() < 2) {
+      const std::optional<SignedPrefix> offset = parse_signed_prefix(offs);
+      if (!offset) {
         bad_spec(spec, "expected shift+<N> or shift-<N>, got \"" + head +
                            "\"");
       }
-      std::size_t pos = 0;
-      try {
-        job.shift = std::stoi(offs, &pos);
-      } catch (const std::exception&) {
-        bad_spec(spec, "shift offset \"" + offs + "\" is not an integer");
-      }
-      if (pos != offs.size()) {
-        bad_spec(spec, "trailing characters \"" + offs.substr(pos) +
+      if (!offset->rest.empty()) {
+        bad_spec(spec, "trailing characters \"" + std::string(offset->rest) +
                            "\" after the shift offset");
       }
+      job.shift = offset->value;
     }
   } else {
     bad_spec(spec, "unknown motif \"" + head +
@@ -262,18 +231,23 @@ std::vector<Workload::TraceRow> load_csv_trace(std::istream& is,
     ++lineno;
     const std::size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
-    Workload::TraceRow row;
-    unsigned long long cycle = 0;
-    char trailing = 0;
-    const int got = std::sscanf(line.c_str(), " %llu , %d , %d , %d %c",
-                                &cycle, &row.src, &row.dst, &row.size_phits,
-                                &trailing);
-    if (got != 4) {
+    // cycle,src,dst,size: four decimal fields, blanks around each.
+    const std::vector<std::string> f = split(line, ',');
+    std::optional<Cycle> cycle;
+    std::optional<NodeId> src, dst;
+    std::optional<int> size;
+    if (f.size() == 4) {
+      cycle = parse_number<Cycle>(trim(f[0]));
+      src = parse_number<NodeId>(trim(f[1]));
+      dst = parse_number<NodeId>(trim(f[2]));
+      size = parse_number<int>(trim(f[3]));
+    }
+    if (!cycle || !src || !dst || !size) {
       throw std::invalid_argument(
           "trace file \"" + path + "\" line " + std::to_string(lineno) +
           ": expected \"cycle,src,dst,size\", got \"" + line + "\"");
     }
-    row.cycle = cycle;
+    const Workload::TraceRow row{*cycle, *src, *dst, *size};
     rows.push_back(row);
   }
   return rows;
@@ -374,11 +348,7 @@ ParsedJobs parse_jobs(const std::string& args, const std::string& spec) {
   }
   const std::string list = args.substr(pos);
   if (list.empty()) bad_spec(spec, "job list is empty");
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t bar = list.find('|', start);
-    if (bar == std::string::npos) bar = list.size();
-    const std::string entry = list.substr(start, bar - start);
+  for (const std::string& entry : split(list, '|')) {
     if (entry.empty()) {
       bad_spec(spec, "empty job entry in the job list");
     }
@@ -390,8 +360,6 @@ ParsedJobs parse_jobs(const std::string& args, const std::string& spec) {
       job.load = parse_load(entry.substr(at + 1), spec);
     }
     out.jobs.push_back(std::move(job));
-    start = bar + 1;
-    if (bar == list.size()) break;
   }
   if (static_cast<int>(out.jobs.size()) > out.num_jobs) {
     bad_spec(spec, "more job entries (" + std::to_string(out.jobs.size()) +

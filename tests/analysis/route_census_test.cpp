@@ -13,7 +13,9 @@ TEST(RouteCensus, UnrestrictedIsPerfectlyBalanced) {
   // Every ordered pair has all 2h-2 = 6 intermediates.
   for (int i = 0; i < 8; ++i) {
     for (int j = 0; j < 8; ++j) {
-      if (i != j) EXPECT_EQ(census.routes()[i][j], 6);
+      if (i != j) {
+        EXPECT_EQ(census.routes()[i][j], 6);
+      }
     }
   }
   EXPECT_EQ(census.starved_pairs(), 0);

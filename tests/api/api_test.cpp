@@ -54,16 +54,16 @@ TEST(Config, BenchDefaultsHonourEnvironment) {
 
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("DF_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("DF_TEST_INT", 7), 42);
-  EXPECT_EQ(env_int("DF_TEST_MISSING", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_INT", 7), 42);
+  EXPECT_EQ(env_number("DF_TEST_MISSING", 7), 7);
   ::setenv("DF_TEST_INT", "junk", 1);
-  EXPECT_EQ(env_int("DF_TEST_INT", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_INT", 7), 7);
   ::setenv("DF_TEST_FLAG", "0", 1);
   EXPECT_FALSE(env_flag("DF_TEST_FLAG"));
   ::setenv("DF_TEST_FLAG", "1", 1);
   EXPECT_TRUE(env_flag("DF_TEST_FLAG"));
   ::setenv("DF_TEST_DBL", "0.25", 1);
-  EXPECT_DOUBLE_EQ(env_double("DF_TEST_DBL", 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(env_number("DF_TEST_DBL", 1.0), 0.25);
   EXPECT_EQ(env_str("DF_TEST_MISSING", "dflt"), "dflt");
   ::unsetenv("DF_TEST_INT");
   ::unsetenv("DF_TEST_FLAG");

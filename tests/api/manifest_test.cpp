@@ -122,6 +122,23 @@ TEST(Manifest, RejectsMalformedInputNamingTheLine) {
   }
 }
 
+TEST(Manifest, PhaseNumbersAreStrict) {
+  // Each used to parse: cycles=-5 as 2^64 - 5, windows=3x as 3 and
+  // load=0.5abc as 0.5.
+  for (const std::string phase :
+       {"cycles=-5 windows=3", "cycles=600 windows=3x",
+        "cycles=600 windows=3 load=0.5abc"}) {
+    SCOPED_TRACE(phase);
+    try {
+      Manifest::parse("h = 2\nphase = " + phase + "\n");
+      FAIL() << "parse accepted a bad phase value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Manifest, RunMergesAndIsWorkerCountInvariant) {
   const Manifest m = Manifest::parse(kSteadyManifest);
 

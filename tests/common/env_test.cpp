@@ -21,44 +21,44 @@ class EnvTest : public ::testing::Test {
 };
 
 TEST_F(EnvTest, IntParsesPlainValues) {
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);  // unset -> fallback
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);  // unset -> fallback
   set("42");
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 42);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 42);
   set("-3");
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), -3);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), -3);
   set(" 5 ");  // surrounding whitespace is harmless
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 5);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 5);
 }
 
 TEST_F(EnvTest, IntRejectsTrailingGarbage) {
   set("3x");  // the historical DF_H=3x bug: parsed as 3
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);
   set("12 34");
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);
   set("abc");
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);
   set("");
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);
 }
 
 TEST_F(EnvTest, IntRejectsOutOfRangeValues) {
   set("99999999999999999999999999");  // > INT64_MAX
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);
   set("-99999999999999999999999999");
-  EXPECT_EQ(env_int("DF_TEST_VALUE", 7), 7);
+  EXPECT_EQ(env_number("DF_TEST_VALUE", 7), 7);
 }
 
 TEST_F(EnvTest, DoubleParsesAndRejectsLikeInt) {
   set("0.5");
-  EXPECT_DOUBLE_EQ(env_double("DF_TEST_VALUE", 1.5), 0.5);
+  EXPECT_DOUBLE_EQ(env_number("DF_TEST_VALUE", 1.5), 0.5);
   set("2e-3");
-  EXPECT_DOUBLE_EQ(env_double("DF_TEST_VALUE", 1.5), 2e-3);
+  EXPECT_DOUBLE_EQ(env_number("DF_TEST_VALUE", 1.5), 2e-3);
   set("0.5abc");
-  EXPECT_DOUBLE_EQ(env_double("DF_TEST_VALUE", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(env_number("DF_TEST_VALUE", 1.5), 1.5);
   set("nope");
-  EXPECT_DOUBLE_EQ(env_double("DF_TEST_VALUE", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(env_number("DF_TEST_VALUE", 1.5), 1.5);
   set("1e999");  // overflows double
-  EXPECT_DOUBLE_EQ(env_double("DF_TEST_VALUE", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(env_number("DF_TEST_VALUE", 1.5), 1.5);
 }
 
 TEST_F(EnvTest, JobsAcceptsPositiveRejectsNegativeAndGarbage) {

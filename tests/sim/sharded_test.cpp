@@ -490,28 +490,32 @@ TEST(ShardedProfile, PhaseCountersTileTheTotal) {
   // Timestamps are taken at phase boundaries, so the four phase counters
   // must sum to the step total exactly — any gap means a phase is timed
   // against the wrong edge (and the serial-fraction telemetry lies).
+  // Exact mode runs the same four phases as the one-shard case.
   DragonflyTopology topo(2);
   RoutingParams rp;
   auto routing = make_routing("olm", topo, rp);
   auto pattern = make_pattern_spec(topo, "un");
-  EngineConfig ec;
-  ec.sharded = true;
-  ec.shard_jobs = 2;
-  ec.profile = true;
-  ec.seed = 7;
-  InjectionProcess inj;
-  inj.load = 0.3;
-  Engine engine(topo, ec, *routing, *pattern, inj);
-  ASSERT_TRUE(engine.profiling());
-  for (int i = 0; i < 200; ++i) engine.step();
+  for (const bool sharded : {true, false}) {
+    SCOPED_TRACE(sharded ? "sharded" : "exact");
+    EngineConfig ec;
+    ec.sharded = sharded;
+    ec.shard_jobs = sharded ? 2 : 0;
+    ec.profile = true;
+    ec.seed = 7;
+    InjectionProcess inj;
+    inj.load = 0.3;
+    Engine engine(topo, ec, *routing, *pattern, inj);
+    ASSERT_TRUE(engine.profiling());
+    for (int i = 0; i < 200; ++i) engine.step();
 
-  const Engine::PhaseProfile& p = engine.phase_profile();
-  EXPECT_EQ(p.steps, 200u);
-  EXPECT_GT(p.total_ns, 0u);
-  EXPECT_EQ(p.arrive_ns + p.deliver_ns + p.alloc_ns + p.flush_ns,
-            p.total_ns);
-  EXPECT_GT(p.serial_fraction(), 0.0);
-  EXPECT_LT(p.serial_fraction(), 1.0);
+    const Engine::PhaseProfile& p = engine.phase_profile();
+    EXPECT_EQ(p.steps, 200u);
+    EXPECT_GT(p.total_ns, 0u);
+    EXPECT_EQ(p.arrive_ns + p.deliver_ns + p.alloc_ns + p.flush_ns,
+              p.total_ns);
+    EXPECT_GT(p.serial_fraction(), 0.0);
+    EXPECT_LT(p.serial_fraction(), 1.0);
+  }
 }
 
 TEST(ShardedProfile, OffByDefaultAndAllZero) {
@@ -521,21 +525,24 @@ TEST(ShardedProfile, OffByDefaultAndAllZero) {
   RoutingParams rp;
   auto routing = make_routing("olm", topo, rp);
   auto pattern = make_pattern_spec(topo, "un");
-  EngineConfig ec;
-  ec.sharded = true;
-  ec.shard_jobs = 2;
-  ec.seed = 7;
-  InjectionProcess inj;
-  inj.load = 0.3;
-  Engine engine(topo, ec, *routing, *pattern, inj);
-  EXPECT_FALSE(engine.profiling());
-  for (int i = 0; i < 50; ++i) engine.step();
+  for (const bool sharded : {true, false}) {
+    SCOPED_TRACE(sharded ? "sharded" : "exact");
+    EngineConfig ec;
+    ec.sharded = sharded;
+    ec.shard_jobs = sharded ? 2 : 0;
+    ec.seed = 7;
+    InjectionProcess inj;
+    inj.load = 0.3;
+    Engine engine(topo, ec, *routing, *pattern, inj);
+    EXPECT_FALSE(engine.profiling());
+    for (int i = 0; i < 50; ++i) engine.step();
 
-  const Engine::PhaseProfile& p = engine.phase_profile();
-  EXPECT_EQ(p.steps, 0u);
-  EXPECT_EQ(p.total_ns, 0u);
-  EXPECT_EQ(p.arrive_ns + p.deliver_ns + p.alloc_ns + p.flush_ns, 0u);
-  EXPECT_EQ(p.serial_fraction(), 0.0);
+    const Engine::PhaseProfile& p = engine.phase_profile();
+    EXPECT_EQ(p.steps, 0u);
+    EXPECT_EQ(p.total_ns, 0u);
+    EXPECT_EQ(p.arrive_ns + p.deliver_ns + p.alloc_ns + p.flush_ns, 0u);
+    EXPECT_EQ(p.serial_fraction(), 0.0);
+  }
 }
 
 // --- exact vs sharded statistical agreement ------------------------------

@@ -134,7 +134,9 @@ TEST_P(TopologySweep, MinHopsBounds) {
       if (t.group_of_router(a) == t.group_of_router(b) && a != b) {
         EXPECT_EQ(d, 1);
       }
-      if (t.group_of_router(a) != t.group_of_router(b)) EXPECT_GE(d, 1);
+      if (t.group_of_router(a) != t.group_of_router(b)) {
+        EXPECT_GE(d, 1);
+      }
     }
   }
 }

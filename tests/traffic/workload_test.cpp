@@ -350,6 +350,19 @@ TEST(WorkloadTrace, MalformedRowsAreRejectedWithTheLine) {
     const TraceFile bad("10,7,7,4\n");
     expect_spec_error("trace:" + bad.path(), "src equals dst", &topo);
   }
+  // Fields are whole decimal numbers: a negative cycle used to wrap to
+  // 2^64 - 5, and a trailing field or character was dropped.
+  for (const char* row : {"-5,1,2,8\n", "5,1,2,8,\n", "5,1,2,8x\n",
+                          "5,1,,8\n"}) {
+    const TraceFile bad(row);
+    expect_spec_error("trace:" + bad.path(), "line 1", &topo);
+    expect_spec_error("trace:" + bad.path(), bad.path(), &topo);
+  }
+  {
+    // Blanks around the fields and a CRLF ending stay accepted.
+    const TraceFile ok(" 10 , 0 ,40,4 \r\n");
+    EXPECT_NO_THROW(make_workload(&topo, "trace:" + ok.path()));
+  }
 }
 
 TEST(WorkloadTrace, CursorBoundsAreChecked) {

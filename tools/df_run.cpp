@@ -23,13 +23,14 @@
 // (checkpoint cadence in cycles, default 20000), DF_CLAIM_TTL (lease
 // TTL in seconds), DF_JOBS (worker count).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "api/manifest.hpp"
+#include "common/text.hpp"
 #include "routing/factory.hpp"
 #include "runtime/seed.hpp"
 #include "traffic/factory.hpp"
@@ -45,6 +46,21 @@ int usage(const char* argv0) {
                "       %s --list-traffic | --list-routing | --list-workloads\n",
                argv0, argv0);
   return 2;
+}
+
+/// Reads the non-negative number after "--flag=" (`prefix_len` chars)
+/// into `out`; false, after a message naming the flag, on anything else.
+template <class T>
+bool flag_value(const char* arg, std::size_t prefix_len, T& out) {
+  const std::optional<T> v = dfsim::parse_number<T>(arg + prefix_len);
+  if (!v || !(*v >= T{})) {  // negated so NaN fails too
+    std::fprintf(stderr, "df_run: %.*s expects a non-negative number, got "
+                 "\"%s\"\n", static_cast<int>(prefix_len - 1), arg,
+                 arg + prefix_len);
+    return false;
+  }
+  out = *v;
+  return true;
 }
 
 void print_row(const char* key, const char* alias, const char* help) {
@@ -92,15 +108,15 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opts.jobs = std::atoi(arg + 7);
+      if (!flag_value(arg, 7, opts.jobs)) return usage(argv[0]);
     } else if (std::strncmp(arg, "--run-dir=", 10) == 0) {
       opts.run_dir = arg + 10;
     } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      opts.checkpoint_every = std::strtoull(arg + 19, nullptr, 10);
+      if (!flag_value(arg, 19, opts.checkpoint_every)) return usage(argv[0]);
     } else if (std::strcmp(arg, "--claim") == 0) {
       opts.claim = true;
     } else if (std::strncmp(arg, "--claim-ttl=", 12) == 0) {
-      opts.claim_ttl_s = std::strtod(arg + 12, nullptr);
+      if (!flag_value(arg, 12, opts.claim_ttl_s)) return usage(argv[0]);
     } else if (std::strcmp(arg, "--no-merge") == 0) {
       opts.no_merge = true;
     } else if (std::strcmp(arg, "--dry-run") == 0) {
