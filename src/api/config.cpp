@@ -4,16 +4,16 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
 
+#include "api/knobs.hpp"
 #include "common/env.hpp"
 #include "common/text.hpp"
 #include "topology/fault_model.hpp"
-#include "traffic/factory.hpp"
-#include "traffic/workload.hpp"
 
 namespace dfsim {
 
@@ -50,6 +50,7 @@ TopoParams parse_topo_spec(const std::string& spec) {
     seen[slot] = true;
     *fields[slot] =
         *parse_number<int>(std::string_view(spec).substr(i, digits - i));
+    if (*fields[slot] < 1) fail(dim + " must be >= 1");
     i = digits;
   }
   if (!seen[2]) fail("missing mandatory dimension 'h'");
@@ -102,22 +103,140 @@ DragonflyTopology SimConfig::make_topology() const {
   return topo;
 }
 
+namespace {
+
+using knob::OneOf;
+using knob::Range;
+using knob::Spec;
+using knob::Text;
+
+// One text form per knob type. read() returns false, leaving the knob
+// untouched, when `text` spells no value of the knob's type.
+template <class T, class Domain>
+bool read(std::string_view text, T& knob, const Domain&) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    knob = text;
+    return true;
+  } else {
+    const std::optional<T> v = parse_number<T>(text);
+    if (v) knob = *v;
+    return v.has_value();
+  }
+}
+template <class E, std::size_t N>
+  requires std::is_enum_v<E>
+bool read(std::string_view text, E& knob, const OneOf<N>& domain) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (text == domain.names[i]) {
+      knob = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+template <class T, class Domain>
+void write(std::ostream& os, const T& knob, const Domain& domain) {
+  if constexpr (std::is_enum_v<T>) {
+    const auto i = static_cast<std::size_t>(knob);
+    if (i < domain.names.size()) {
+      os << domain.names[i];
+    } else {
+      os << i;
+    }
+  } else if constexpr (std::is_floating_point_v<T>) {
+    os << fmt_f64(knob);
+  } else {
+    os << knob;
+  }
+}
+
+template <std::size_t N>
+std::string names(const OneOf<N>& domain) {
+  std::string out;
+  for (const char* name : domain.names) {
+    out += out.empty() ? "" : ", ";
+    out += name;
+  }
+  return out;
+}
+
+// What read() wanted, for the message when it fails.
+template <class T, class Domain>
+std::string expected(const T&, const Domain& domain) {
+  if constexpr (requires { domain.names; }) {
+    return "one of " + names(domain);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return "a number";
+  } else {
+    return std::is_signed_v<T> ? "a 32-bit integer" : "a non-negative integer";
+  }
+}
+
+// The domain checks: each returns when the value is legal, and only a
+// failure builds a string.
+[[noreturn]] void reject(const char* key, const std::string& why) {
+  throw std::invalid_argument(std::string("config key \"") + key +
+                              "\": " + why);
+}
+
+template <class T>
+void check_domain(const char* key, const T& value, const Range<T>& domain) {
+  if (domain.contains(value)) return;
+  std::ostringstream os;
+  write(os, value, domain);
+  os << " is outside " << (domain.lo_open ? '(' : '[');
+  write(os, domain.lo, domain);
+  os << ", ";
+  write(os, domain.hi, domain);
+  os << (domain.hi_open ? ')' : ']');
+  reject(key, os.str());
+}
+
+template <class T, std::size_t N>
+void check_domain(const char* key, const T& value, const OneOf<N>& domain) {
+  if constexpr (std::is_enum_v<T>) {
+    if (static_cast<std::size_t>(value) < N) return;
+  } else {
+    for (const char* name : domain.names) {
+      if (value == name) return;
+    }
+  }
+  std::ostringstream os;
+  os << '"';
+  write(os, value, domain);
+  os << "\" is not " << expected(value, domain);
+  reject(key, os.str());
+}
+
+void check_domain(const char* key, const std::string& value,
+                  const Spec& domain) {
+  if (domain.or_empty && value.empty()) return;
+  try {
+    domain.check(value);
+  } catch (const std::invalid_argument& e) {
+    reject(key, e.what());
+  }
+}
+
+void check_domain(const char*, const std::string&, Text) {}
+
+}  // namespace
+
 void SimConfig::validate() const {
-  const TopoParams tp = topo_params();  // throws on a malformed spec
+  knob::for_each_knob(*this, [](const char* key, const auto& knob,
+                                const char*, const auto& domain) {
+    check_domain(key, knob, domain);
+  });
+  // The rules below join knobs; each knob alone is in its domain.
+  const TopoParams tp = topo_params();
   const auto fail = [](const std::string& msg) {
     throw std::invalid_argument("SimConfig: " + msg);
   };
-  const auto check_dim = [&](const char* name, int value) {
-    if (value < 1) {
-      std::ostringstream os;
-      os << "topology dimension " << name << " must be >= 1, got " << value;
-      fail(os.str());
-    }
-  };
-  check_dim("h", tp.h);
-  check_dim("p", tp.p);
-  check_dim("a", tp.a);
-  check_dim("g", tp.g);
+  if (tp.h < 1) {
+    fail("h = " + std::to_string(h) +
+         " leaves routers without global ports: set h >= 1 or a topo spec");
+  }
   // 64-bit product: directly-set knobs can be arbitrarily large ints.
   const long long max_groups =
       static_cast<long long>(tp.a) * static_cast<long long>(tp.h) + 1;
@@ -144,88 +263,37 @@ void SimConfig::validate() const {
        << " exceeds the engine's 2047-port limit";
     fail(os.str());
   }
-  if (engine != "exact" && engine != "sharded") {
-    std::ostringstream os;
-    os << "engine must be \"exact\" or \"sharded\", got \"" << engine
-       << "\"";
-    fail(os.str());
-  }
   if (engine == "sharded" && flow == FlowControl::kWormhole) {
     fail(
         "the sharded engine supports VCT only: wormhole VC ownership "
         "spans shard boundaries (use engine=exact for wormhole runs)");
   }
-  if (!(load > 0.0) || load > 1.0) {
+  if (!workload.empty() && (onoff_on > 0.0 || onoff_off > 0.0)) {
+    fail(
+        "workload and ON/OFF injection cannot be combined: workloads "
+        "drive per-terminal loads and forced injections through the "
+        "plain Bernoulli path (clear onoff_on/onoff_off or workload)");
+  }
+  if ((onoff_on == 0.0) != (onoff_off == 0.0)) {
     std::ostringstream os;
-    os << "load must be in (0, 1], got " << load;
-    fail(os.str());
-  }
-  // Traffic spec: reject malformed pattern strings before anything is
-  // built (topology-dependent range checks still happen at construction).
-  try {
-    validate_pattern_spec(pattern);
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
-  }
-  if (!workload.empty()) {
-    try {
-      validate_workload_spec(workload);
-    } catch (const std::invalid_argument& e) {
-      fail(e.what());
-    }
-    if (onoff_on > 0.0 || onoff_off > 0.0) {
-      fail(
-          "workload and ON/OFF injection cannot be combined: workloads "
-          "drive per-terminal loads and forced injections through the "
-          "plain Bernoulli path (clear onoff_on/onoff_off or workload)");
-    }
-  }
-  // Written as negated >=/<= so NaN fails too (every comparison with NaN
-  // is false, which would sail through the direct form).
-  if (!(onoff_on >= 0.0 && onoff_on <= 1.0) ||
-      !(onoff_off >= 0.0 && onoff_off <= 1.0) ||
-      (onoff_on == 0.0) != (onoff_off == 0.0)) {
-    std::ostringstream os;
-    os << "ON/OFF transition probabilities must both be in (0, 1] or both "
-          "0 (disabled), got onoff_on = "
+    os << "ON/OFF transition probabilities must both be > 0 or both 0 "
+          "(disabled), got onoff_on = "
        << onoff_on << ", onoff_off = " << onoff_off;
     fail(os.str());
   }
-  if (onoff_on > 0.0) {
-    // The while-ON generation probability is load / (packet_phits * duty)
-    // and cannot exceed 1: beyond that the sources physically cannot make
-    // up for their OFF time and the real offered load silently undershoots
-    // the configured one. Reject instead of mismeasuring.
-    const double duty = onoff_on / (onoff_on + onoff_off);
-    const double max_load = duty * packet_phits >= 1.0
-                                ? 1.0
-                                : duty * static_cast<double>(packet_phits);
-    if (load > max_load) {
-      std::ostringstream os;
-      os << "ON/OFF duty cycle " << duty << " cannot sustain load " << load
-         << ": ON terminals would need a generation probability above 1. "
-            "Raise onoff_on, lower onoff_off, or keep load <= "
-         << max_load;
-      fail(os.str());
-    }
-  }
-  if (packet_phits < 1) {
+  if (load > onoff_load_limit()) {
     std::ostringstream os;
-    os << "packet_phits must be >= 1, got " << packet_phits;
+    os << "ON/OFF duty cycle " << onoff_on / (onoff_on + onoff_off)
+       << " cannot sustain load " << load
+       << ": ON terminals would need a generation probability above 1. "
+          "Raise onoff_on, lower onoff_off, or keep load <= "
+       << onoff_load_limit();
     fail(os.str());
   }
-  if (flit_phits < 0 || flit_phits > packet_phits) {
+  if (flit_phits > packet_phits) {
     std::ostringstream os;
     os << "flit_phits must be 0 (whole-packet) or in [1, packet_phits = "
        << packet_phits << "], got " << flit_phits;
-    fail(os.str());
-  }
-  if (local_vcs < 1 || global_vcs < 1) {
-    std::ostringstream os;
-    os << "VC counts must be >= 1 per port class (the floor of every "
-          "routing mechanism; counts below a mechanism's own minimum are "
-          "auto-raised), got local_vcs = "
-       << local_vcs << ", global_vcs = " << global_vcs;
     fail(os.str());
   }
   // VCT buffers must hold a whole packet; wormhole ones a whole flit.
@@ -237,11 +305,6 @@ void SimConfig::validate() const {
     os << "buffers must hold at least one flow-control unit (" << unit
        << " phits), got local_buf_phits = " << local_buf_phits
        << ", global_buf_phits = " << global_buf_phits;
-    fail(os.str());
-  }
-  if (fault_fraction < 0.0 || fault_fraction >= 1.0) {
-    std::ostringstream os;
-    os << "fault_fraction must be in [0, 1), got " << fault_fraction;
     fail(os.str());
   }
   if (!fault_spec.empty() && fault_fraction != 0.0) {
@@ -259,6 +322,16 @@ void SimConfig::validate() const {
       fail("fault set disconnects the network: " + err);
     }
   }
+}
+
+double SimConfig::onoff_load_limit() const {
+  if (onoff_on == 0.0) return 1.0;
+  // While ON a terminal generates load / (packet_phits * duty) packets a
+  // cycle, and a probability cannot pass 1: beyond that the sources
+  // cannot make up for their OFF time and the real offered load silently
+  // undershoots the configured one.
+  const double duty = onoff_on / (onoff_on + onoff_off);
+  return std::min(1.0, duty * static_cast<double>(packet_phits));
 }
 
 EngineConfig SimConfig::engine_config(
@@ -290,100 +363,12 @@ RoutingParams SimConfig::routing_params() const {
   return rp;
 }
 
-namespace {
-
-// One text form per knob type. read() returns what it expected when the
-// text does not parse, leaving the knob untouched, and nullptr otherwise.
-template <class T>
-const char* read(std::string_view text, T& knob) {
-  if (const std::optional<T> v = parse_number<T>(text)) {
-    knob = *v;
-    return nullptr;
-  }
-  if (std::is_floating_point_v<T>) return "a number";
-  return std::is_signed_v<T> ? "a 32-bit integer" : "a non-negative integer";
-}
-const char* read(std::string_view text, std::string& knob) {
-  knob = text;
-  return nullptr;
-}
-const char* read(std::string_view text, GlobalArrangement& knob) {
-  if (text == "absolute") knob = GlobalArrangement::kAbsolute;
-  else if (text == "palmtree") knob = GlobalArrangement::kPalmtree;
-  else return "absolute or palmtree";
-  return nullptr;
-}
-const char* read(std::string_view text, FlowControl& knob) {
-  if (text == "vct") knob = FlowControl::kVirtualCutThrough;
-  else if (text == "wormhole") knob = FlowControl::kWormhole;
-  else return "vct or wormhole";
-  return nullptr;
-}
-
-template <class T>
-void write(std::ostream& os, const T& knob) {
-  os << knob;
-}
-void write(std::ostream& os, double knob) { os << fmt_f64(knob); }
-void write(std::ostream& os, GlobalArrangement knob) {
-  os << (knob == GlobalArrangement::kPalmtree ? "palmtree" : "absolute");
-}
-void write(std::ostream& os, FlowControl knob) {
-  os << (knob == FlowControl::kWormhole ? "wormhole" : "vct");
-}
-
-/// Every knob, named once, in describe() order: v(key, member, env) with
-/// the DF_* variable bench_defaults() reads, or nullptr. A new knob is one
-/// line here.
-template <class Config, class Visitor>
-void for_each_knob(Config& c, Visitor&& v) {
-  v("h", c.h, "DF_H");
-  v("p", c.p, "DF_P");
-  v("a", c.a, "DF_A");
-  v("g", c.g, "DF_G");
-  v("topo", c.topo, "DF_TOPO");
-  v("arrangement", c.arrangement, nullptr);
-  v("fault_spec", c.fault_spec, "DF_FAULTS");
-  v("fault_fraction", c.fault_fraction, "DF_FAULT_FRACTION");
-  v("fault_seed", c.fault_seed, "DF_FAULT_SEED");
-  v("flow", c.flow, nullptr);
-  v("packet_phits", c.packet_phits, nullptr);
-  v("flit_phits", c.flit_phits, nullptr);
-  v("local_vcs", c.local_vcs, nullptr);
-  v("global_vcs", c.global_vcs, nullptr);
-  v("local_buf_phits", c.local_buf_phits, nullptr);
-  v("global_buf_phits", c.global_buf_phits, nullptr);
-  v("local_latency", c.local_latency, nullptr);
-  v("global_latency", c.global_latency, nullptr);
-  v("routing", c.routing, nullptr);
-  v("misroute_threshold", c.misroute_threshold, nullptr);
-  v("global_candidates", c.global_candidates, nullptr);
-  v("local_candidates", c.local_candidates, nullptr);
-  v("pb_threshold", c.pb_threshold, nullptr);
-  v("pb_period", c.pb_period, nullptr);
-  v("pattern", c.pattern, "DF_TRAFFIC");
-  v("pattern_offset", c.pattern_offset, nullptr);
-  v("global_fraction", c.global_fraction, nullptr);
-  v("load", c.load, nullptr);
-  v("onoff_on", c.onoff_on, "DF_ONOFF_ON");
-  v("onoff_off", c.onoff_off, "DF_ONOFF_OFF");
-  v("workload", c.workload, "DF_WORKLOAD");
-  v("engine", c.engine, "DF_ENGINE");
-  v("warmup_cycles", c.warmup_cycles, "DF_WARMUP");
-  v("measure_cycles", c.measure_cycles, "DF_MEASURE");
-  v("burst_packets", c.burst_packets, "DF_BURST");
-  v("max_cycles", c.max_cycles, nullptr);
-  v("watchdog_cycles", c.watchdog_cycles, nullptr);
-  v("seed", c.seed, "DF_SEED");
-}
-
-}  // namespace
-
 std::string SimConfig::describe() const {
   std::ostringstream os;
-  for_each_knob(*this, [&os](const char* key, const auto& knob, const char*) {
+  knob::for_each_knob(*this, [&os](const char* key, const auto& knob,
+                                   const char*, const auto& domain) {
     os << key << '=';
-    write(os, knob);
+    write(os, knob, domain);
     os << '\n';
   });
   return os.str();
@@ -391,13 +376,17 @@ std::string SimConfig::describe() const {
 
 void SimConfig::set(const std::string& key, const std::string& value) {
   bool known = false;
-  for_each_knob(*this, [&](const char* name, auto& knob, const char*) {
+  knob::for_each_knob(*this, [&](const char* name, auto& knob, const char*,
+                                 const auto& domain) {
     if (known || key != name) return;
     known = true;
-    if (const char* want = read(value, knob)) {
-      throw std::invalid_argument("config key \"" + key + "\": expected " +
-                                  want + ", got \"" + value + "\"");
+    auto v = knob;
+    if (!read(value, v, domain)) {
+      reject(name,
+             "expected " + expected(v, domain) + ", got \"" + value + "\"");
     }
+    check_domain(name, v, domain);
+    knob = std::move(v);
   });
   if (!known) {
     throw std::invalid_argument("config: unknown key \"" + key + "\"");
@@ -429,12 +418,13 @@ SimConfig bench_defaults() {
   }
   // Each knob's DF_* override (README "Figure benches"). A value that
   // does not parse as the knob's type keeps the preset, with a warning.
-  for_each_knob(cfg, [](const char*, auto& knob, const char* env) {
+  knob::for_each_knob(cfg, [](const char*, auto& knob, const char* env,
+                              const auto& domain) {
     const char* raw = env != nullptr ? std::getenv(env) : nullptr;
     if (raw == nullptr || *raw == '\0') return;
-    if (const char* want = read(trim(raw), knob)) {
+    if (!read(trim(raw), knob, domain)) {
       std::fprintf(stderr, "dfsim: ignoring %s=\"%s\" (expected %s)\n", env,
-                   raw, want);
+                   raw, expected(knob, domain).c_str());
     }
   });
   return cfg;

@@ -122,13 +122,19 @@ struct SimConfig {
   /// (fault_spec, or sampled from fault_fraction/fault_seed) applied.
   DragonflyTopology make_topology() const;
 
-  /// Throw std::invalid_argument with a precise message when any knob is
-  /// out of range: malformed/inconsistent p/a/h/g, load outside (0, 1],
-  /// non-positive phit counts, flit_phits > packet_phits, or VC counts
-  /// below the floor any mechanism needs (>= 1 per class; the engine
-  /// auto-raises counts below a specific mechanism's minimum). Called by
+  /// Throw std::invalid_argument with a pointed message unless the config
+  /// can run. Each knob's own domain sits beside its key in the knob list
+  /// (src/api/knobs.hpp), which set() also checks; validate() walks it for
+  /// members assigned directly, then adds the rules that join knobs: the
+  /// shape's limits, engine vs flow control, buffers vs the flow-control
+  /// unit, flit_phits <= packet_phits, the ON/OFF pairing and duty bound,
+  /// and a fault set that must not disconnect the network. Called by
   /// run_steady/run_burst before anything is built.
   void validate() const;
+
+  /// The most load ON/OFF sources can offer (1 without ON/OFF): above
+  /// it, a terminal would need a while-ON generation probability over 1.
+  double onoff_load_limit() const;
 
   /// Engine-level knobs derived from the above.
   EngineConfig engine_config(const RoutingAlgorithm& routing_algo) const;
@@ -144,9 +150,10 @@ struct SimConfig {
   std::string describe() const;
 
   /// Set one knob by its describe() key (e.g. set("routing", "olm")).
-  /// Throws std::invalid_argument naming the key on an unknown key or an
-  /// unparsable value. parse() and the manifest grid expansion are built
-  /// on this.
+  /// Throws std::invalid_argument naming the key on an unknown key, an
+  /// unparsable value or one outside the knob's domain (naming the value
+  /// and the domain too). parse() and the manifest grid expansion are
+  /// built on this.
   void set(const std::string& key, const std::string& value);
 
   /// Inverse of describe(), and the manifest base-config reader: accepts

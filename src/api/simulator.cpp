@@ -126,18 +126,12 @@ void validate_phases(const SimConfig& cfg, const std::vector<Phase>& phases) {
       throw std::invalid_argument("run_phased: phase " + std::to_string(i) +
                                   " load must be < 0 (keep) or in [0, 1]");
     }
-    // The same ON/OFF duty feasibility check validate() applies to the
-    // base load: a switched-to load the duty cycle cannot sustain would
-    // clamp the while-ON probability and silently mismeasure.
-    if (cfg.onoff_on > 0.0 && ph.load >= 0.0) {
-      const double duty = cfg.onoff_on / (cfg.onoff_on + cfg.onoff_off);
-      if (ph.load > duty * static_cast<double>(cfg.packet_phits)) {
-        throw std::invalid_argument(
-            "run_phased: phase " + std::to_string(i) + " load " +
-            std::to_string(ph.load) +
-            " exceeds what the ON/OFF duty cycle can sustain (see "
-            "SimConfig::validate)");
-      }
+    if (ph.load > cfg.onoff_load_limit()) {
+      throw std::invalid_argument(
+          "run_phased: phase " + std::to_string(i) + " load " +
+          std::to_string(ph.load) +
+          " exceeds what the ON/OFF duty cycle can sustain (at most " +
+          std::to_string(cfg.onoff_load_limit()) + ")");
     }
   }
 }

@@ -101,16 +101,26 @@ std::string routing_names() {
   return out;
 }
 
-std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name,
-                                               const DragonflyTopology& topo,
-                                               const RoutingParams& params) {
+namespace {
+
+const RoutingEntry& find_routing(const std::string& name) {
   for (const RoutingEntry& entry : routing_registry()) {
     if (name == entry.key || (entry.alias[0] != '\0' && name == entry.alias)) {
-      return entry.build(topo, params);
+      return entry;
     }
   }
   throw std::invalid_argument("unknown routing mechanism: " + name +
                               " (known: " + routing_names() + ")");
+}
+
+}  // namespace
+
+void validate_routing_name(const std::string& name) { find_routing(name); }
+
+std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name,
+                                               const DragonflyTopology& topo,
+                                               const RoutingParams& params) {
+  return find_routing(name).build(topo, params);
 }
 
 }  // namespace dfsim

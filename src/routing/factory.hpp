@@ -38,6 +38,10 @@ const std::vector<RoutingEntry>& routing_registry();
 /// Comma-separated canonical keys (for error messages and --help output).
 std::string routing_names();
 
+/// Throws std::invalid_argument naming the full registry unless `name`
+/// is a registered key or alias.
+void validate_routing_name(const std::string& name);
+
 /// Names: "minimal", "valiant", "pb", "ugal", "par-6/2" (or "par62"),
 /// "rlm", "rlm-signonly", "rlm-unrestricted", "olm". Throws
 /// std::invalid_argument naming the full registry on an unknown name.

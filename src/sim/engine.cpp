@@ -258,8 +258,11 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
     }
   }
 
+  // The wheel must span the longest wire: an event further ahead than its
+  // size would wrap into an earlier slot and fire early.
   ring_size_ = next_pow2(static_cast<size_t>(
-      cfg_.global_latency + std::max(cfg_.packet_phits, flit_phits_) + 4));
+      std::max(cfg_.local_latency, cfg_.global_latency) +
+      std::max(cfg_.packet_phits, flit_phits_) + 4));
   init_shards();
 }
 

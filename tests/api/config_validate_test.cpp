@@ -1,15 +1,24 @@
 // SimConfig::validate(), the (p, a, h, g) spec-string parser and the
 // topology resolution rules: `h` alone keeps the paper's balanced
 // shorthand, explicit knobs or a spec string unlock unbalanced shapes,
-// and every out-of-range knob fails fast with a pointed message.
+// and every out-of-range knob fails fast with a pointed message, from
+// set() and validate() alike (the knob domains in src/api/knobs.hpp).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "api/config.hpp"
+#include "api/knobs.hpp"
+#include "api/manifest.hpp"
 #include "api/simulator.hpp"
+#include "common/text.hpp"
 #include "traffic/pattern.hpp"
 
 namespace dfsim {
@@ -188,7 +197,7 @@ TEST(Validate, RejectsFlitLargerThanPacket) {
 TEST(Validate, RejectsVcCountsBelowTheFloor) {
   SimConfig cfg;
   cfg.local_vcs = 0;
-  EXPECT_NE(thrown_message(cfg).find("VC"), std::string::npos);
+  EXPECT_NE(thrown_message(cfg).find("local_vcs"), std::string::npos);
   cfg = SimConfig{};
   cfg.global_vcs = -1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
@@ -242,6 +251,175 @@ TEST(Validate, EngineRejectsVcsBelowMechanismFloor) {
   InjectionProcess inj;
   EXPECT_THROW(Engine(topo, ec, *par, pattern, inj),
                std::invalid_argument);
+}
+
+// Each of these values used to run, or crash the run, instead of failing
+// with the key's name.
+void expect_rejected(const std::string& key, const std::string& value,
+                     const std::function<void(SimConfig&)>& assign) {
+  SCOPED_TRACE(key + " = " + value);
+  SimConfig by_text;
+  try {
+    by_text.set(key, value);
+    ADD_FAILURE() << "set() accepted it";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+  SimConfig direct;
+  assign(direct);
+  EXPECT_NE(thrown_message(direct).find(key), std::string::npos)
+      << thrown_message(direct);
+}
+
+TEST(KnobDomain, NamedOutOfDomainValuesAreRejected) {
+  expect_rejected("pb_period", "0", [](SimConfig& c) { c.pb_period = 0; });
+  expect_rejected("pb_period", "-1", [](SimConfig& c) { c.pb_period = -1; });
+  expect_rejected("global_latency", "-3",
+                  [](SimConfig& c) { c.global_latency = -3; });
+  expect_rejected("local_latency", "0",
+                  [](SimConfig& c) { c.local_latency = 0; });
+  expect_rejected("watchdog_cycles", "0",
+                  [](SimConfig& c) { c.watchdog_cycles = 0; });
+  expect_rejected("measure_cycles", "0",
+                  [](SimConfig& c) { c.measure_cycles = 0; });
+  expect_rejected("global_fraction", "7",
+                  [](SimConfig& c) { c.global_fraction = 7; });
+  expect_rejected("misroute_threshold", "-5",
+                  [](SimConfig& c) { c.misroute_threshold = -5; });
+  expect_rejected("pb_threshold", "-1",
+                  [](SimConfig& c) { c.pb_threshold = -1; });
+  expect_rejected("global_candidates", "-1",
+                  [](SimConfig& c) { c.global_candidates = -1; });
+  expect_rejected("routing", "bogus",
+                  [](SimConfig& c) { c.routing = "bogus"; });
+  expect_rejected("engine", "fast", [](SimConfig& c) { c.engine = "fast"; });
+  expect_rejected("topo", "h0", [](SimConfig& c) { c.topo = "h0"; });
+  expect_rejected("flow", "7", [](SimConfig& c) {
+    c.flow = static_cast<FlowControl>(7);
+  });
+}
+
+TEST(KnobDomain, MessageNamesKeyValueAndDomain) {
+  SimConfig cfg;
+  try {
+    cfg.set("pb_period", "0");
+    FAIL() << "set() accepted pb_period = 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "config key \"pb_period\": 0 is outside [1, 2147483647]");
+  }
+  EXPECT_EQ(cfg.pb_period, SimConfig{}.pb_period) << "rejected, not stored";
+  cfg.load = 0;
+  EXPECT_EQ(thrown_message(cfg),
+            "config key \"load\": 0 is outside (0, 1]");
+}
+
+// One bound of a numeric knob, probed from both sides.
+struct BoundCase {
+  std::string key;
+  std::string outside, inside;  // as set() reads them
+  std::function<void(SimConfig&)> assign_outside;
+};
+
+template <class T>
+std::string text_of(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return fmt_f64(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+template <class T>
+T step(T v, bool up) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::nextafter(v, up ? std::numeric_limits<T>::infinity()
+                                : -std::numeric_limits<T>::infinity());
+  } else {
+    return up ? v + 1 : v - 1;
+  }
+}
+
+// Stores `value` in knob `key` of `cfg` directly, as C++ callers do.
+template <class T>
+void assign(SimConfig& cfg, const std::string& key, T value) {
+  knob::for_each_knob(
+      cfg, [&](const char* name, auto& member, const char*, const auto&) {
+        if constexpr (std::is_same_v<decltype(member), T&>) {
+          if (key == name) member = value;
+        }
+      });
+}
+
+// Every finite bound of every numeric knob in the knob list, so a knob
+// added there is covered here without editing this test.
+std::vector<BoundCase> bound_cases() {
+  std::vector<BoundCase> out;
+  SimConfig probe;
+  knob::for_each_knob(probe, [&out](const char* key, auto& member,
+                                    const char*, const auto& domain) {
+    using T = std::remove_cvref_t<decltype(member)>;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(domain)>,
+                                 knob::Range<T>>) {
+      const auto add = [&](T bound, bool open, bool upper) {
+        const T outside = open ? bound : step(bound, upper);
+        const T inside = open ? step(bound, !upper) : bound;
+        const std::string name = key;
+        out.push_back({name, text_of(outside), text_of(inside),
+                       [name, outside](SimConfig& c) {
+                         assign(c, name, outside);
+                       }});
+      };
+      if (domain.lo != std::numeric_limits<T>::lowest()) {
+        add(domain.lo, domain.lo_open, false);
+      }
+      if (domain.hi != std::numeric_limits<T>::max()) {
+        add(domain.hi, domain.hi_open, true);
+      }
+    }
+  });
+  return out;
+}
+
+TEST(KnobDomain, OneStepOutsideEachBoundIsRejected) {
+  const std::vector<BoundCase> cases = bound_cases();
+  ASSERT_GE(cases.size(), 30u);
+  for (const BoundCase& c : cases) {
+    SCOPED_TRACE(c.key + " = " + c.outside);
+    SimConfig by_text;
+    try {
+      by_text.set(c.key, c.outside);
+      ADD_FAILURE() << "set() accepted it";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + c.key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+    SimConfig direct;
+    c.assign_outside(direct);
+    EXPECT_NE(thrown_message(direct).find("\"" + c.key + "\""),
+              std::string::npos)
+        << thrown_message(direct);
+  }
+}
+
+TEST(KnobDomain, EachBoundItselfIsAccepted) {
+  for (const BoundCase& c : bound_cases()) {
+    SCOPED_TRACE(c.key + " = " + c.inside);
+    SimConfig cfg;
+    EXPECT_NO_THROW(cfg.set(c.key, c.inside));
+  }
+}
+
+TEST(KnobDomain, ManifestGridValueFailsAtParse) {
+  try {
+    Manifest::parse("name = m\nrouting = pb\ngrid.pb_period = 10, 0\n");
+    FAIL() << "the manifest parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("pb_period"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

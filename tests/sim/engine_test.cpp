@@ -119,6 +119,26 @@ TEST(Engine, IntraGroupPacketTakesOneLocalHop) {
   EXPECT_EQ(delivered_at, expected_latency(topo, src, dst, 8, 10, 100));
 }
 
+// The timing wheel spans the longest wire, whichever class it is: sized
+// from the global latency alone, a 300-cycle local hop wrapped round a
+// 32-slot wheel and arrived early.
+TEST(Engine, LocalLatencyAboveGlobalIsHonoured) {
+  EngineConfig ec = small_vct();
+  ec.local_latency = 300;
+  ec.global_latency = 20;
+  TestNet net(2, "minimal", ec, std::make_unique<NeverPattern>());
+  const DragonflyTopology& topo = net.topo;
+  const NodeId src = 0;
+  const NodeId dst = topo.terminal_id(topo.router_id(0, 2), 1);
+  net.engine.inject_for_test(src, dst, 0);
+  Cycle delivered_at = 0;
+  net.engine.set_delivery_hook(
+      [&](const Packet&, Cycle now) { delivered_at = now; });
+  net.engine.run_until(1000);
+  EXPECT_GE(delivered_at, 300u);
+  EXPECT_EQ(delivered_at, expected_latency(topo, src, dst, 8, 300, 20));
+}
+
 TEST(Engine, WormholeSinglePacketLatency) {
   EngineConfig ec = small_vct();
   ec.flow = FlowControl::kWormhole;
