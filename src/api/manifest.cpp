@@ -212,6 +212,15 @@ std::vector<ExperimentPoint> Manifest::expand() const {
     }
     pt.series = series.empty() ? name : series;
     pt.x = have_load ? pt.cfg.load : 0.0;
+    // Each value passed set() alone; a rule that joins knobs (flit_phits
+    // <= packet_phits, ...) can still fail for one combination, and must
+    // do so before any point of the grid runs.
+    try {
+      pt.cfg.validate();
+    } catch (const std::exception& e) {
+      throw std::invalid_argument("manifest point " + std::to_string(i) +
+                                  " (series " + pt.series + "): " + e.what());
+    }
     points.push_back(std::move(pt));
   }
   return points;
@@ -264,6 +273,7 @@ void merge_point_files(const Manifest& m, const std::string& run_dir,
 ManifestRunSummary run_manifest(const Manifest& m,
                                 const ManifestRunOptions& opts) {
   const auto start = std::chrono::steady_clock::now();
+  const std::vector<ExperimentPoint> points = m.expand();
 
   std::string run_dir = opts.run_dir;
   if (run_dir.empty()) run_dir = env_str("DF_RUN_DIR", "");
@@ -288,7 +298,6 @@ ManifestRunSummary run_manifest(const Manifest& m,
     write_file_atomic(manifest_path, desc);
   }
 
-  const std::vector<ExperimentPoint> points = m.expand();
   const double ttl =
       opts.claim_ttl_s > 0.0 ? opts.claim_ttl_s : env_claim_ttl();
   // Unique-suffix temps orphaned by killed writers; the age gate keeps
@@ -349,10 +358,12 @@ ManifestRunSummary run_manifest(const Manifest& m,
     std::atomic<std::size_t> ran{0};
     std::atomic<std::size_t> stolen{0};
     std::atomic<std::size_t> logged{0};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
 
-    auto claim_worker = [&]() {
+    // One claimer per worker; parallel_for hands each its share of the
+    // jobs budget and rethrows the first claimer's error.
+    const int workers = runtime::resolve_jobs(opts.jobs);
+    const auto claimers = static_cast<std::size_t>(workers);
+    runtime::parallel_for(claimers, workers, [&](std::size_t) {
       PointClaimer claimer(run_dir, ttl);
       SweepOptions wopts = sopts;
       wopts.jobs = 1;
@@ -411,22 +422,7 @@ ManifestRunSummary run_manifest(const Manifest& m,
           backoff_ms = std::min(backoff_ms * 2, backoff_cap_ms);
         }
       }
-    };
-    auto guarded_worker = [&]() {
-      try {
-        claim_worker();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    };
-
-    // One claimer per worker; parallel_for hands each its share of the
-    // jobs budget.
-    const int workers = runtime::resolve_jobs(opts.jobs);
-    runtime::parallel_for(static_cast<std::size_t>(workers), workers,
-                          [&](std::size_t) { guarded_worker(); });
-    if (first_error) std::rethrow_exception(first_error);
+    });
     summary.ran_points = ran.load();
     summary.stolen_leases = stolen.load();
   }

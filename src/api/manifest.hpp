@@ -70,7 +70,10 @@ struct Manifest {
 
   /// Expand the grid to concrete points, odometer order (first axis
   /// slowest). Series labels come from the non-load axis values; x is
-  /// the load axis value (0 when load is not swept).
+  /// the load axis value (0 when load is not swept). Every point's
+  /// config is validated here, so a bad combination of axis values
+  /// throws std::invalid_argument naming the point index and series
+  /// before any point runs.
   std::vector<ExperimentPoint> expand() const;
 
   /// Canonical textual form of the whole manifest (name, axes, phases,

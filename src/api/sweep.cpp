@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <stdexcept>
 #include <system_error>
 
@@ -90,17 +89,9 @@ ExperimentResult run_experiment_point(const ExperimentPoint& pt,
 std::vector<ExperimentResult> run_experiments(
     const std::vector<ExperimentPoint>& points, const SweepOptions& opts) {
   std::vector<ExperimentResult> out(points.size());
-  std::mutex progress_mu;
-  std::size_t completed = 0;
   runtime::parallel_for(points.size(), opts.jobs, [&](std::size_t i) {
-    const std::uint64_t seed = opts.derive_seeds
-                                   ? runtime::derive_seed(points[i].cfg.seed, i)
-                                   : points[i].cfg.seed;
-    out[i] = run_experiment_point(points[i], seed, i, opts);
-    if (opts.progress) {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      opts.progress(++completed, points.size());
-    }
+    out[i] = run_experiment_point(
+        points[i], runtime::derive_seed(points[i].cfg.seed, i), i, opts);
   });
   return out;
 }
@@ -124,13 +115,9 @@ std::vector<ExperimentPoint> sweep_grid(
   return points;
 }
 
-namespace {
-
-// Shared CSV row emitters behind the public printers.
-void sweep_rows(std::ostream& out, Metric metric, const std::string& x_label,
-                std::size_t n,
-                const std::function<void(std::size_t, std::string&, double&,
-                                         SteadyResult&)>& get) {
+void print_sweep(std::ostream& out,
+                 const std::vector<ExperimentResult>& results, Metric metric,
+                 const std::string& x_label) {
   const char* y_label =
       metric == Metric::kLatency ? "avg_latency_cycles" : "accepted_load";
   // The measured offered load and the source-queue drop rate ride along
@@ -139,63 +126,34 @@ void sweep_rows(std::ostream& out, Metric metric, const std::string& x_label,
   // load plateau with healthy sources.
   CsvWriter csv(out, {"series", x_label, y_label, "offered_load_measured",
                       "source_drop_rate"});
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string series;
-    double x = 0.0;
-    SteadyResult r;
-    get(i, series, x, r);
+  for (const ExperimentResult& p : results) {
+    const SteadyResult& r = p.steady;
     const double y =
         metric == Metric::kLatency ? r.avg_latency : r.accepted_load;
-    csv.row({series, CsvWriter::fmt(x), CsvWriter::fmt(y),
+    csv.row({p.series, CsvWriter::fmt(p.x), CsvWriter::fmt(y),
              CsvWriter::fmt(r.offered_load),
              CsvWriter::fmt(r.source_drop_rate)});
   }
 }
 
-void phased_rows(std::ostream& out, std::size_t n,
-                 const std::function<void(std::size_t, std::string&,
-                                          PhasedResult&)>& get) {
+void print_phased(std::ostream& out,
+                  const std::vector<ExperimentResult>& results) {
   CsvWriter csv(out, {"series", "cycle_end", "accepted_load",
                       "offered_load_measured", "avg_latency_cycles",
                       "pattern"});
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string series;
-    PhasedResult r;
-    get(i, series, r);
+  for (const ExperimentResult& p : results) {
+    const PhasedResult& r = p.phased;
     for (const PhaseWindow& w : r.windows) {
-      csv.row({series, CsvWriter::fmt(static_cast<double>(w.stats.end)),
+      csv.row({p.series, CsvWriter::fmt(static_cast<double>(w.stats.end)),
                CsvWriter::fmt(w.stats.accepted_load),
                CsvWriter::fmt(w.stats.offered_load),
                CsvWriter::fmt(w.stats.avg_latency), w.pattern});
     }
-    csv.row({series, CsvWriter::fmt(static_cast<double>(r.drain.end)),
+    csv.row({p.series, CsvWriter::fmt(static_cast<double>(r.drain.end)),
              CsvWriter::fmt(r.drain.accepted_load),
              CsvWriter::fmt(r.drain.offered_load),
              CsvWriter::fmt(r.drain.avg_latency), "drain"});
   }
-}
-
-}  // namespace
-
-void print_sweep(std::ostream& out,
-                 const std::vector<ExperimentResult>& results, Metric metric,
-                 const std::string& x_label) {
-  sweep_rows(out, metric, x_label, results.size(),
-             [&](std::size_t i, std::string& series, double& x,
-                 SteadyResult& r) {
-               series = results[i].series;
-               x = results[i].x;
-               r = results[i].steady;
-             });
-}
-
-void print_phased(std::ostream& out,
-                  const std::vector<ExperimentResult>& results) {
-  phased_rows(out, results.size(),
-              [&](std::size_t i, std::string& series, PhasedResult& r) {
-                series = results[i].series;
-                r = results[i].phased;
-              });
 }
 
 std::vector<double> default_loads(double max_load, int points) {

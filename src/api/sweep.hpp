@@ -4,13 +4,15 @@
 //
 // All grids execute through ONE path — run_experiments — on top of the
 // parallel runtime (src/runtime/): grid points are independent
-// simulations, so they are sharded across a thread pool. Each point runs
-// with a deterministic seed derived from the base config's seed and the
-// point's grid index, which makes the output bit-identical for any worker
-// count — `--jobs=1` and `--jobs=N` produce the same CSV bytes in the
-// same order. The same path optionally checkpoints each in-flight run
-// periodically and resumes from an existing checkpoint, which is what the
-// manifest runner (api/manifest.hpp) builds on.
+// simulations, so the workers of runtime::parallel_for claim them one at
+// a time. Each point runs with a deterministic seed derived from its
+// config's seed and its grid index, which makes the output bit-identical
+// for any worker count — `--jobs=1` and `--jobs=N` produce the same CSV
+// bytes in the same order. Replications are a grid too: points that
+// differ only in cfg.seed, or a `grid.seed` manifest axis. The same path
+// optionally checkpoints each in-flight run periodically and resumes
+// from an existing checkpoint, which is what the manifest runner
+// (api/manifest.hpp) builds on.
 #pragma once
 
 #include <cstdint>
@@ -55,14 +57,9 @@ struct ExperimentResult {
 
 struct SweepOptions {
   /// Worker threads; <= 0 resolves via the runtime default (--jobs /
-  /// DF_JOBS / hardware concurrency). 1 forces the serial path.
+  /// DF_JOBS / hardware concurrency). 1 runs the points in order on the
+  /// calling thread.
   int jobs = 0;
-  /// Derive a per-point seed from cfg.seed and the grid index (default).
-  /// Off = every point runs with its config's seed untouched.
-  bool derive_seeds = true;
-  /// Called once per completed point, serialized under a lock:
-  /// (points completed so far, total points). Null = silent.
-  std::function<void(std::size_t, std::size_t)> progress;
   /// Periodic checkpointing: every `checkpoint_every` simulated cycles
   /// the in-flight run is serialized to checkpoint_path(index) via
   /// write-to-temp + atomic rename, and the file is removed when the

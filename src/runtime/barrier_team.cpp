@@ -3,53 +3,77 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/env.hpp"
-
 namespace dfsim::runtime {
 
-BarrierTeam::BarrierTeam(int workers, std::function<void(int)> fn,
-                         int spin_budget)
-    : fn_(std::move(fn)), workers_(std::max(1, workers)) {
-  if (spin_budget < 0) {
-    // Spinning only pays when every worker owns a core; oversubscribed,
-    // a spinning waiter steals the quantum of the worker it waits for.
-    const auto cores = std::thread::hardware_concurrency();
-    spin_budget = (cores != 0 && static_cast<unsigned>(workers_) <= cores)
-                      ? 4096
-                      : 0;
-  }
-  spin_budget_ = env_number("DF_BARRIER_SPIN", spin_budget);
-  threads_.reserve(static_cast<std::size_t>(workers_ - 1));
-  for (int w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+namespace {
+// Spinning only pays when every worker owns a core; oversubscribed, a
+// spinning waiter steals the quantum of the worker it waits for.
+int spin_budget_for(int workers) {
+  if (workers <= 1) return 0;  // runs inline: nobody ever waits
+  return workers <= BarrierTeam::hardware_workers() ? 4096 : 0;
+}
+}  // namespace
+
+int BarrierTeam::hardware_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+BarrierTeam::BarrierTeam(int workers)
+    : workers_(std::max(1, workers)), spin_budget_(spin_budget_for(workers_)) {
+  try {
+    threads_.reserve(static_cast<std::size_t>(workers_ - 1));
+    for (int w = 1; w < workers_; ++w) {
+      threads_.emplace_back([this, w] { worker_loop(w); });
+    }
+  } catch (...) {
+    // A joinable std::thread destroyed with the vector would terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-BarrierTeam::~BarrierTeam() {
+BarrierTeam::~BarrierTeam() { stop_and_join(); }
+
+void BarrierTeam::stop_and_join() noexcept {
   stop_.store(true, std::memory_order_release);
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void BarrierTeam::run() {
+void BarrierTeam::run(void (*fn)(void*, int), void* ctx) {
   if (workers_ == 1) {
-    fn_(0);
+    fn(ctx, 0);
     return;
   }
+  fn_ = fn;
+  ctx_ = ctx;
   pending_.store(workers_ - 1, std::memory_order_relaxed);
-  // The release bump publishes the caller's pre-run() writes (and the
-  // pending count) to every worker whose acquire poll observes it.
+  // The release bump publishes the caller's pre-run() writes (the region
+  // and the pending count included) to every worker whose acquire poll
+  // observes it.
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
-  fn_(0);
+  call(0);
   int spins = 0;
   for (;;) {
     const int p = pending_.load(std::memory_order_acquire);
-    if (p == 0) return;
+    if (p == 0) break;
     // atomic::wait re-checks the value under the futex, so a notify that
     // lands between this load and the wait is never lost.
     if (++spins > spin_budget_) pending_.wait(p, std::memory_order_acquire);
+  }
+  // Every worker's store of error_ happened before its release decrement.
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void BarrierTeam::call(int index) noexcept {
+  try {
+    fn_(ctx_, index);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    if (!error_) error_ = std::current_exception();
   }
 }
 
@@ -65,7 +89,7 @@ void BarrierTeam::worker_loop(int index) {
     }
     served = e;
     if (stop_.load(std::memory_order_acquire)) return;
-    fn_(index);
+    call(index);
     // Release so the caller's acquire poll of pending_ sees this
     // worker's writes; the last arrival wakes a parked caller.
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

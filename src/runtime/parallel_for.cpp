@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/env.hpp"
+#include "runtime/barrier_team.hpp"
 
 namespace dfsim::runtime {
 
@@ -32,11 +29,6 @@ class BudgetScope {
  private:
   int saved_;
 };
-
-int hardware_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
 }  // namespace
 
 void set_default_jobs(int jobs) {
@@ -48,7 +40,7 @@ int default_jobs() {
   if (set > 0) return set;
   const int env = env_jobs();
   if (env > 0) return env;
-  return hardware_jobs();
+  return BarrierTeam::hardware_workers();
 }
 
 int resolve_jobs(int requested) {
@@ -64,40 +56,28 @@ void parallel_for(std::size_t n, int jobs,
   const int workers = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(budget), n));
   const int share = std::max(1, budget / workers);
-  if (workers <= 1) {
-    BudgetScope scope(share);
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
 
   // Workers claim one index at a time: sweep points differ in run time
   // by up to an order of magnitude (a saturated point simulates far more
   // traffic than a light one), and claiming several neighbours at once
   // chains the slow high-load points on one worker. A claim is one
-  // atomic add, negligible next to any point.
+  // atomic add, negligible next to any point. A throwing body exhausts
+  // the counter, so no worker claims another index; the team rethrows
+  // the first exception once every worker is done.
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  {
-    std::vector<std::jthread> team;
-    team.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      team.emplace_back([&] {
-        BudgetScope scope(share);
-        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
-          try {
-            body(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
+  BarrierTeam team(workers);
+  team.run([&](int) {
+    BudgetScope scope(share);
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        body(i);
+      } catch (...) {
+        next.store(n, std::memory_order_relaxed);
+        throw;
+      }
     }
-  }  // jthreads join here
-
-  if (first_error) std::rethrow_exception(first_error);
+  });
 }
 
 }  // namespace dfsim::runtime

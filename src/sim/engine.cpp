@@ -12,9 +12,6 @@
 #include <type_traits>
 #include <utility>
 
-// Complete BarrierTeam type: the constructor's exception cleanup destroys
-// the shard_team_ member.
-#include "runtime/barrier_team.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/workload.hpp"
 
@@ -81,7 +78,8 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
       routing_(routing),
       pattern_(&pattern),
       injection_(injection),
-      rng_(cfg.seed) {
+      rng_(cfg.seed),
+      shard_team_(shard_count(topo, cfg)) {
   // Negated >=/<= so NaN fails too. SimConfig::validate() repeats this
   // (plus the duty-vs-load feasibility check) with pointed messages; this
   // guards direct Engine construction.

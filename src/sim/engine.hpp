@@ -42,15 +42,12 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "routing/routing.hpp"
+#include "runtime/barrier_team.hpp"
 #include "sim/buffer.hpp"
 #include "sim/packet.hpp"
 #include "topology/dragonfly_topology.hpp"
 
 namespace dfsim {
-
-namespace runtime {
-class BarrierTeam;
-}
 
 class TrafficPattern;
 class Workload;
@@ -638,10 +635,14 @@ class Engine {
   void maybe_reply(const Packet& pkt);
 
   // --- the stepper (engine_sharded.cpp) ---------------------------------
+  /// The shard count: one in exact mode, else one per shard worker,
+  /// capped at the group count.
+  static int shard_count(const DragonflyTopology& topo,
+                         const EngineConfig& cfg);
   void init_shards();
   template <bool kProfile>
   bool step_impl();
-  void run_shards(void (Engine::*phase)(Shard&));
+  Shard& shard(int w) { return shards_[static_cast<std::size_t>(w)]; }
   void arrive_shard(Shard& s);
   void allocate_and_inject_shard(Shard& s);
   /// Try to inject terminal `t`'s next packet: forced entries first, else
@@ -858,10 +859,9 @@ class Engine {
   };
   std::vector<Shard> shards_;
   bool sharded_ = false;
-  std::unique_ptr<runtime::BarrierTeam> shard_team_;
-  /// Phase dispatched to the persistent worker team; set by run_shards
-  /// before releasing the barrier (the team's callback is fixed).
-  void (Engine::*shard_phase_)(Shard&) = nullptr;
+  /// Worker w runs shard w in every parallel phase; exact mode's team
+  /// has the one worker, which runs inline.
+  runtime::BarrierTeam shard_team_;
   /// The shard holding router r: shard s covers groups
   /// [s*G/W, (s+1)*G/W), so group g lies in shard ceil((g+1)*W/G) - 1.
   std::size_t shard_of(RouterId r) const {

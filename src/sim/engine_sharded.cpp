@@ -50,11 +50,9 @@
 // a different draw sequence.
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <mutex>
 
 #include "common/env.hpp"
-#include "runtime/barrier_team.hpp"
 #include "runtime/parallel_for.hpp"
 #include "sim/engine.hpp"
 #include "traffic/pattern.hpp"
@@ -92,22 +90,28 @@ Engine::PhaseProfile accumulated_phase_profile() {
   return g_profile_total;
 }
 
-// Defined here (not in engine.cpp) so the unique_ptr<BarrierTeam> member
-// destroys against the complete type.
 Engine::~Engine() {
   if (profile_ && profile_data_.steps > 0) {
     accumulate_profile(profile_data_);
   }
 }
 
+int Engine::shard_count(const DragonflyTopology& topo,
+                        const EngineConfig& cfg) {
+  // Exact mode never needs the worker count (whose default lookup can
+  // read sysfs).
+  if (!cfg.sharded) return 1;
+  return std::min(runtime::resolve_jobs(cfg.shard_jobs), topo.num_groups());
+}
+
 void Engine::init_shards() {
   sharded_ = cfg_.sharded;
   profile_ = cfg_.profile || env_flag("DF_PROFILE");
-  // Exact mode never needs the worker count (whose default lookup can
-  // read sysfs).
+  // Worker w runs shard w in every phase, so a shard's state stays in one
+  // worker's cache. The phases touch disjoint state, so the assignment
+  // affects only locality, never results.
   const int groups = topo_.num_groups();
-  const int num_shards =
-      sharded_ ? std::min(runtime::resolve_jobs(cfg_.shard_jobs), groups) : 1;
+  const int num_shards = shard_team_.size();
   const int a = topo_.routers_per_group();
   shards_.resize(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
@@ -125,24 +129,6 @@ void Engine::init_shards() {
   // One pool slab per shard: phase 3 creates packets concurrently, each
   // shard from its own slab (see PacketPool).
   pool_.reset(shards_.size());
-  if (num_shards > 1) {
-    // Worker w runs shard w in every phase, so a shard's state stays in
-    // one worker's cache. The phases touch disjoint state, so the
-    // assignment affects only locality, never results.
-    shard_team_ = std::make_unique<runtime::BarrierTeam>(
-        num_shards, [this](int w) {
-          (this->*shard_phase_)(shards_[static_cast<std::size_t>(w)]);
-        });
-  }
-}
-
-void Engine::run_shards(void (Engine::*phase)(Shard&)) {
-  if (!shard_team_) {
-    for (Shard& s : shards_) (this->*phase)(s);
-    return;
-  }
-  shard_phase_ = phase;
-  shard_team_->run();
 }
 
 bool Engine::step() {
@@ -161,7 +147,7 @@ bool Engine::step_impl() {
 
   // Phase 1 (parallel): per-shard arrival bookkeeping straight off each
   // shard's own rings.
-  run_shards(&Engine::arrive_shard);
+  shard_team_.run([this](int w) { arrive_shard(shard(w)); });
   if constexpr (kProfile) t1 = profile_now_ns();
 
   // Phase 2 (serial): deliveries (pool release + user hook) in ascending
@@ -186,7 +172,7 @@ bool Engine::step_impl() {
 
   // Phase 3 (parallel): switch allocation + injection. Same-shard future
   // events are scheduled directly; cross-shard ones land in the outbox.
-  run_shards(&Engine::allocate_and_inject_shard);
+  shard_team_.run([this](int w) { allocate_and_inject_shard(shard(w)); });
   if constexpr (kProfile) t3 = profile_now_ns();
 
   // Phase 4 (serial): apply the staged cross-shard effects in ascending

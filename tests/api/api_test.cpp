@@ -1,13 +1,11 @@
 // Facade-level behaviour: config derivation, environment defaults,
-// replication, sweeps and CSV output.
+// sweeps and CSV output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <set>
 #include <sstream>
 
-#include "api/experiment.hpp"
 #include "api/simulator.hpp"
 #include "api/sweep.hpp"
 #include "common/csv.hpp"
@@ -68,51 +66,6 @@ TEST(Env, ParsesAndFallsBack) {
   ::unsetenv("DF_TEST_INT");
   ::unsetenv("DF_TEST_FLAG");
   ::unsetenv("DF_TEST_DBL");
-}
-
-TEST(Replication, AggregatesAcrossSeeds) {
-  SimConfig cfg;
-  cfg.h = 2;
-  cfg.routing = "minimal";
-  cfg.load = 0.2;
-  cfg.warmup_cycles = 1000;
-  cfg.measure_cycles = 2000;
-  const ReplicatedResult r = run_replicated(cfg, 3);
-  EXPECT_EQ(r.replications, 3);
-  EXPECT_EQ(r.deadlocks, 0);
-  EXPECT_EQ(r.accepted_load.count(), 3u);
-  EXPECT_NEAR(r.accepted_mean(), 0.2, 0.03);
-  // Independent seeds differ, so there is *some* spread.
-  EXPECT_GT(r.latency_stddev(), 0.0);
-}
-
-// Regression: replication k used to run with seed `base + k`, so
-// replication 1 of base seed s was the *same stream* as replication 0 of
-// base seed s+1 — neighboring sweep points shared error-bar samples.
-TEST(Replication, SeedsAreDerivedNotOffsets) {
-  EXPECT_NE(replication_seed(1, 1), replication_seed(2, 0));
-  EXPECT_NE(replication_seed(1, 2), replication_seed(3, 0));
-  std::set<std::uint64_t> all;
-  for (std::uint64_t base = 1; base <= 4; ++base) {
-    for (int k = 0; k < 4; ++k) all.insert(replication_seed(base, k));
-  }
-  EXPECT_EQ(all.size(), 16u);  // base+k collides 6 of these
-}
-
-TEST(Replication, ExposesPerRunSeedsAndResults) {
-  SimConfig cfg;
-  cfg.h = 2;
-  cfg.routing = "minimal";
-  cfg.load = 0.2;
-  cfg.warmup_cycles = 500;
-  cfg.measure_cycles = 1000;
-  const ReplicatedResult r = run_replicated(cfg, 2);
-  ASSERT_EQ(r.seeds.size(), 2u);
-  ASSERT_EQ(r.runs.size(), 2u);
-  EXPECT_EQ(r.seeds[0], replication_seed(cfg.seed, 0));
-  EXPECT_EQ(r.seeds[1], replication_seed(cfg.seed, 1));
-  EXPECT_NE(r.seeds[0], r.seeds[1]);
-  EXPECT_GT(r.runs[0].delivered, 0u);
 }
 
 // Regression: the collector counted generated/dropped packets but

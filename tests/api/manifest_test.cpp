@@ -246,5 +246,56 @@ TEST(Manifest, InFlightPointResumesFromCheckpointBitIdentically) {
   EXPECT_FALSE(fs::exists(ckpt));  // dropped once the point completed
 }
 
+TEST(Manifest, ExpandRejectsABadPointBeforeAnyRuns) {
+  // Each axis value passes set() alone, but flit_phits = 16 breaks
+  // validate()'s flit_phits <= packet_phits rule for point 1 only.
+  const Manifest m = Manifest::parse(
+      "name = badflit\n"
+      "h = 2\n"
+      "warmup_cycles = 200\n"
+      "measure_cycles = 600\n"
+      "packet_phits = 8\n"
+      "grid.flit_phits = 8, 16\n");
+  try {
+    m.expand();
+    FAIL() << "expand accepted flit_phits = 16 with packet_phits = 8";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("manifest point 1 (series flit_phits=16)"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("flit_phits must be"), std::string::npos) << msg;
+  }
+  // run_manifest fails the same way before running point 0.
+  const TempRunDir dir("badflit");
+  ManifestRunOptions opts;
+  opts.run_dir = dir.str();
+  opts.jobs = 1;
+  EXPECT_THROW(run_manifest(m, opts), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir.str() + "/point_0000.csv"));
+}
+
+TEST(Manifest, PointFailingAtRunTimeIsRethrownAndNothingMerges) {
+  // Garbage in point 1's checkpoint: resuming it throws on restore. Both
+  // execution modes must surface that error and leave no results.csv.
+  const Manifest m = Manifest::parse(kSteadyManifest);
+  for (const bool claim : {false, true}) {
+    SCOPED_TRACE(claim ? "claim" : "static");
+    const TempRunDir dir(claim ? "failclaim" : "failstatic");
+    fs::create_directories(dir.str());
+    std::ofstream(dir.str() + "/point_0001.ckpt", std::ios::binary)
+        << "not a checkpoint";
+    ManifestRunOptions opts;
+    opts.run_dir = dir.str();
+    // One claimer: a second would wait out the dead claimer's lease.
+    opts.jobs = claim ? 1 : 2;
+    opts.checkpoint_every = 100;
+    opts.claim = claim;
+    EXPECT_ANY_THROW(run_manifest(m, opts));
+    EXPECT_FALSE(fs::exists(dir.str() + "/point_0001.csv"));
+    EXPECT_FALSE(fs::exists(dir.str() + "/results.csv"));
+  }
+}
+
 }  // namespace
 }  // namespace dfsim

@@ -5,7 +5,9 @@
 # with the value read as 0, or wrapped to 2^64 - N). Manifest values
 # outside their knob's domain must fail the same way, naming the key,
 # before any point runs: pb_period = 0 used to die with SIGFPE (exit
-# 136) on the first cycle, and local_latency = 0 ran.
+# 136) on the first cycle, and local_latency = 0 ran. So must a grid
+# point whose knobs break a joint rule: grid.flit_phits = 8, 16 with
+# packet_phits = 8 used to pass --dry-run and fail only after point 0 ran.
 #
 #   tests/flag_errors_smoke.sh <path-to-df_run> [path-to-a-figure-bench]
 set -uo pipefail
@@ -42,7 +44,8 @@ expect_usage_error --claim-ttl "$DF_RUN" "$WORK/m.txt" "$run_dir" \
 expect_usage_error --claim-ttl "$DF_RUN" "$WORK/m.txt" "$run_dir" \
   --claim-ttl=nan
 # <key> <manifest lines...>: the manifest must be refused naming <key>,
-# not crash (exit >= 128 is a signal), and leave no point file behind.
+# not crash (exit >= 128 is a signal), and leave no point file behind;
+# --dry-run must refuse it too.
 expect_domain_error() {
   local key=$1
   shift
@@ -63,11 +66,17 @@ expect_domain_error() {
     echo "FAIL: manifest with '$*' ran a point before failing"
     status=1
   fi
+  if "$DF_RUN" "$WORK/d.txt" --dry-run > "$WORK/out" 2>&1; then
+    echo "FAIL: --dry-run of a manifest with '$*' exited 0"
+    status=1
+  fi
 }
 
 expect_domain_error pb_period 'routing = pb' 'pb_period = 0'
 expect_domain_error pb_period 'routing = pb' 'grid.pb_period = 10, 0'
 expect_domain_error local_latency 'local_latency = 0'
+expect_domain_error 'manifest point 1 (series flit_phits=16)' \
+  'packet_phits = 8' 'grid.flit_phits = 8, 16'
 if [[ -n "$BENCH" ]]; then
   expect_usage_error --jobs "$BENCH" --jobs=abc
 fi

@@ -1,12 +1,14 @@
-// The BarrierTeam phase barrier the sharded engine steps its shards with.
-// These suites (with parallel_sweep_test and the sharded engine's) are
-// what the tsan CI job runs.
+// The BarrierTeam phase barrier: the worker team the sharded engine steps
+// its shards with and parallel_for runs its claim loop on. These suites
+// (with parallel_sweep_test, the sharded engine's and the manifest
+// runner's) are what the tsan CI job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/barrier_team.hpp"
@@ -18,12 +20,10 @@ TEST(BarrierTeamTest, EveryWorkerIndexRunsOncePerRound) {
   constexpr int kWorkers = 4;
   constexpr int kRounds = 200;
   std::vector<std::atomic<int>> hits(kWorkers);
-  BarrierTeam team(kWorkers, [&hits](int w) {
-    hits[static_cast<std::size_t>(w)]++;
-  });
+  BarrierTeam team(kWorkers);
   ASSERT_EQ(team.size(), kWorkers);
   for (int r = 0; r < kRounds; ++r) {
-    team.run();
+    team.run([&hits](int w) { hits[static_cast<std::size_t>(w)]++; });
     // run() returning IS the barrier: every index must have fired in the
     // round just closed, none twice.
     for (int w = 0; w < kWorkers; ++w) {
@@ -43,12 +43,11 @@ TEST(BarrierTeamTest, HandoffPublishesPlainWritesBothWays) {
   std::vector<std::uint64_t> cells(kWorkers, 0);  // plain, not atomic
   std::uint64_t round = 0;                        // plain, caller-owned
   std::atomic<bool> ok{true};
-  BarrierTeam team(kWorkers, [&](int w) {
-    // Reads the caller's `round` store; writes only this worker's cell.
-    cells[static_cast<std::size_t>(w)] = round + 1;
-  });
+  BarrierTeam team(kWorkers);
   for (round = 0; round < 500; ++round) {
-    team.run();
+    // A fresh region each round: reads the caller's `round` store and
+    // writes only this worker's cell.
+    team.run([&](int w) { cells[static_cast<std::size_t>(w)] = round + 1; });
     for (int w = 0; w < kWorkers; ++w) {
       if (cells[static_cast<std::size_t>(w)] != round + 1) ok = false;
     }
@@ -57,25 +56,50 @@ TEST(BarrierTeamTest, HandoffPublishesPlainWritesBothWays) {
 }
 
 TEST(BarrierTeamTest, SingleWorkerRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
   int ran = 0;
-  BarrierTeam team(1, [&ran](int w) {
-    EXPECT_EQ(w, 0);
-    ++ran;
-  });
+  BarrierTeam team(1);
   EXPECT_EQ(team.size(), 1);
-  team.run();
-  team.run();
+  for (int r = 0; r < 2; ++r) {
+    team.run([&](int w) {
+      EXPECT_EQ(w, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++ran;
+    });
+  }
   EXPECT_EQ(ran, 2);
 }
 
-TEST(BarrierTeamTest, ZeroSpinBudgetParksAndStillCompletes) {
-  // spin_budget = 0 forces the futex path on every round — the slow edge
-  // where lost-wakeup bugs live. Hammer it.
+TEST(BarrierTeamTest, OversubscribedTeamParksAndStillCompletes) {
+  // One worker more than the machine has hardware threads: no waiter may
+  // spin, so every wait parks on the futex — the slow edge where
+  // lost-wakeup bugs live. Hammer it.
+  const int workers = BarrierTeam::hardware_workers() + 1;
+  if (workers > 64) GTEST_SKIP() << workers << " workers is too many here";
   std::atomic<int> ran{0};
-  BarrierTeam team(4, [&ran](int) { ran++; }, /*spin_budget=*/0);
+  BarrierTeam team(workers);
   EXPECT_EQ(team.spin_budget(), 0);
-  for (int r = 0; r < 300; ++r) team.run();
-  EXPECT_EQ(ran.load(), 4 * 300);
+  for (int r = 0; r < 300; ++r) team.run([&ran](int) { ran++; });
+  EXPECT_EQ(ran.load(), workers * 300);
+}
+
+TEST(BarrierTeamTest, RethrowsTheFirstExceptionAfterEveryWorkerFinished) {
+  constexpr int kWorkers = 4;
+  BarrierTeam team(kWorkers);
+  for (const int thrower : {0, 2}) {  // the caller, then a started thread
+    SCOPED_TRACE(thrower);
+    std::atomic<int> finished{0};
+    const auto region = [&](int w) {
+      if (w == thrower) throw std::runtime_error("boom");
+      finished++;
+    };
+    EXPECT_THROW(team.run(region), std::runtime_error);
+    EXPECT_EQ(finished.load(), kWorkers - 1);
+  }
+  // The team survives a throwing region.
+  std::atomic<int> ran{0};
+  team.run([&ran](int) { ran++; });
+  EXPECT_EQ(ran.load(), kWorkers);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -138,18 +140,6 @@ TEST(ParallelSweepTest, BurstPointsRunTheBurstShapeWithDerivedSeeds) {
   EXPECT_THROW(run_experiments(grid, opts), std::invalid_argument);
 }
 
-TEST(ParallelSweepTest, DeriveSeedsOffKeepsConfigSeed) {
-  const SimConfig base = tiny_config();
-  SweepOptions opts;
-  opts.jobs = 1;
-  opts.derive_seeds = false;
-  const auto points =
-      run_experiments(sweep_grid(base, {"minimal"}, {0.1, 0.2}), opts);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].seed, base.seed);
-  EXPECT_EQ(points[1].seed, base.seed);
-}
-
 TEST(DeriveSeedTest, DeterministicAndDistinct) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t base : {0ull, 1ull, 42ull}) {
@@ -179,6 +169,34 @@ TEST(ParallelForTest, PropagatesBodyException) {
                               if (i == 7) throw std::runtime_error("boom");
                             }),
       std::runtime_error);
+}
+
+TEST(ParallelForTest, ClaimsNoIndexAfterTheFirstThrow) {
+  // One worker runs the claim loop inline: 0..7 run and nothing after.
+  std::vector<std::size_t> order;
+  const auto serial_body = [&](std::size_t i) {
+    order.push_back(i);
+    if (i == 7) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(runtime::parallel_for(16, 1, serial_body), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+  // Four workers: index 0 throws at once while every other body holds
+  // its worker for 200 ms, so indices 1..3 are the most any worker can
+  // have claimed before the throw, and none may be claimed after it.
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> ran(kN);
+  const auto parallel_body = [&](std::size_t i) {
+    ran[i]++;
+    if (i == 0) throw std::runtime_error("boom");
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  };
+  EXPECT_THROW(runtime::parallel_for(kN, 4, parallel_body),
+               std::runtime_error);
+  EXPECT_EQ(ran[0].load(), 1);
+  for (std::size_t i = 4; i < kN; ++i) {
+    EXPECT_EQ(ran[i].load(), 0) << "index " << i << " ran after the throw";
+  }
 }
 
 TEST(ParallelForTest, SplitsTheJobsBudgetAcrossWorkers) {

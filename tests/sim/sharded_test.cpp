@@ -18,8 +18,9 @@
 #include <vector>
 
 #include "api/config.hpp"
-#include "api/experiment.hpp"
 #include "api/simulator.hpp"
+#include "api/sweep.hpp"
+#include "common/stats.hpp"
 #include "routing/factory.hpp"
 #include "runtime/parallel_for.hpp"
 #include "sim/engine.hpp"
@@ -555,14 +556,20 @@ TEST(ShardedVsExact, SteadyStateStatisticsAgree) {
   cfg.measure_cycles = 2000;
   constexpr int kReps = 5;
 
-  cfg.engine = "exact";
-  const ReplicatedResult exact = run_replicated(cfg, kReps);
-  cfg.engine = "sharded";
-  JobsGuard guard(8);
-  const ReplicatedResult sharded = run_replicated(cfg, kReps);
-
-  ASSERT_EQ(exact.deadlocks, 0);
-  ASSERT_EQ(sharded.deadlocks, 0);
+  // Replications are a grid of one config: run_experiments seeds each
+  // point from cfg.seed and its index.
+  std::vector<ExperimentPoint> grid;
+  for (const char* engine : {"exact", "sharded"}) {
+    cfg.engine = engine;
+    for (int k = 0; k < kReps; ++k) grid.push_back({engine, 0.0, cfg, {}});
+  }
+  const std::vector<ExperimentResult> runs = run_experiments(grid);
+  RunningStat accepted[2], latency[2];
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_FALSE(runs[i].steady.deadlock) << "point " << i;
+    accepted[i / kReps].add(runs[i].steady.accepted_load);
+    latency[i / kReps].add(runs[i].steady.avg_latency);
+  }
 
   // Welch-style combined standard error, generous 5-sigma band plus an
   // absolute floor so a near-zero-variance pair can't flake the test.
@@ -572,12 +579,10 @@ TEST(ShardedVsExact, SteadyStateStatisticsAgree) {
                                 b.stddev() * b.stddev() / kReps);
     return std::abs(a.mean() - b.mean()) <= 5.0 * se + floor_abs;
   };
-  EXPECT_TRUE(within(exact.accepted_load, sharded.accepted_load, 0.01))
-      << "exact=" << exact.accepted_mean()
-      << " sharded=" << sharded.accepted_mean();
-  EXPECT_TRUE(within(exact.latency, sharded.latency, 2.0))
-      << "exact=" << exact.latency_mean()
-      << " sharded=" << sharded.latency_mean();
+  EXPECT_TRUE(within(accepted[0], accepted[1], 0.01))
+      << "exact=" << accepted[0].mean() << " sharded=" << accepted[1].mean();
+  EXPECT_TRUE(within(latency[0], latency[1], 2.0))
+      << "exact=" << latency[0].mean() << " sharded=" << latency[1].mean();
 }
 
 }  // namespace
