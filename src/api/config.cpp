@@ -263,11 +263,6 @@ void SimConfig::validate() const {
        << " exceeds the engine's 2047-port limit";
     fail(os.str());
   }
-  if (engine == "sharded" && flow == FlowControl::kWormhole) {
-    fail(
-        "the sharded engine supports VCT only: wormhole VC ownership "
-        "spans shard boundaries (use engine=exact for wormhole runs)");
-  }
   if (!workload.empty() && (onoff_on > 0.0 || onoff_off > 0.0)) {
     fail(
         "workload and ON/OFF injection cannot be combined: workloads "

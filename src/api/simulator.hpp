@@ -22,8 +22,12 @@
 namespace dfsim {
 
 struct SteadyResult {
-  double avg_latency = 0.0;     ///< cycles, source queueing included
-  double p99_latency = 0.0;     ///< cycles
+  /// Cycles from creation to delivery, source queueing included, over
+  /// the packets created after warmup and delivered before the run ends.
+  /// Packets still in flight at the end are left out, so paths longer
+  /// than the measure window are censored and read short.
+  double avg_latency = 0.0;
+  double p99_latency = 0.0;     ///< cycles, same packets
   double accepted_load = 0.0;   ///< phits/(node*cycle) delivered
   /// phits/(node*cycle) the sources *tried* to inject during measurement,
   /// including generations the source-queue cap dropped. Past saturation

@@ -316,11 +316,6 @@ class SlabEventRing {
     draining_ = false;
   }
 
-  /// True when the slot holds no events — a single load, so per-cycle
-  /// pollers (the sharded engine checks every shard's wheels every
-  /// cycle) skip empty slots without touching the slab.
-  bool slot_empty(std::size_t slot) const { return slots_[slot].head < 0; }
-
   /// Resident bytes of the slab and slot table (memory-audit support).
   std::size_t footprint_bytes() const {
     return slab_.footprint_bytes() + slots_.capacity() * sizeof(Slot);
@@ -336,13 +331,6 @@ class SlabEventRing {
       for (std::int32_t i = 0; i < ch.count; ++i) fn(ch.items[i]);
       c = ch.next;
     }
-  }
-
-  /// Checkpoint support: number of events queued in one slot.
-  std::size_t slot_size(std::size_t slot) const {
-    std::size_t n = 0;
-    visit(slot, [&](const T&) { ++n; });
-    return n;
   }
 
  private:

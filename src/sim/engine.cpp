@@ -103,11 +103,6 @@ Engine::Engine(const DragonflyTopology& topo, const EngineConfig& cfg,
     throw std::invalid_argument(routing_.name() +
                                 " requires VCT flow control (paper Sec. III)");
   }
-  if (cfg_.sharded && cfg_.flow == FlowControl::kWormhole) {
-    throw std::invalid_argument(
-        "the sharded engine supports VCT only: wormhole VC ownership "
-        "spans shard boundaries (use engine=exact for wormhole runs)");
-  }
   if (cfg_.local_vcs < routing_.min_local_vcs() ||
       cfg_.global_vcs < routing_.min_global_vcs()) {
     throw std::invalid_argument(routing_.name() + " needs at least " +

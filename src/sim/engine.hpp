@@ -82,8 +82,7 @@ struct EngineConfig {
   /// and every RNG draw from a counter-based stream keyed by (seed, cycle,
   /// entity) — results and checkpoint bytes are bit-identical for ANY
   /// worker count, but NOT bit-compatible with the default exact mode
-  /// (whose single-stream ascending draw order is its own contract). VCT
-  /// only.
+  /// (whose single-stream ascending draw order is its own contract).
   bool sharded = false;
   /// Worker threads for sharded mode, hence its shard count (capped at
   /// the group count); 0 resolves via runtime::resolve_jobs (--jobs /
@@ -160,8 +159,6 @@ class Engine {
   std::uint64_t phits_sent(PortClass cls) const {
     return phits_sent_[static_cast<int>(cls)];
   }
-  /// True in sharded mode (one shard per worker, keyed RNG).
-  bool sharded() const { return sharded_; }
 
   /// Per-phase wall-clock totals of either mode, accumulated only
   /// while profiling (EngineConfig::profile / DF_PROFILE=1). The four

@@ -51,10 +51,12 @@ namespace {
 constexpr std::uint64_t kMagic = ser::magic("DFENGCK\n");
 constexpr std::uint64_t kEndSentinel = 0xdf51aced0c0ffee1ULL;
 
-/// Packet fields. Routing uses the route state as topology indices, so
-/// restore checks them against the packet's endpoints.
+/// Packet fields. Routing uses the route state as topology indices and
+/// VCs, so restore checks it against the packet's endpoints and the hop
+/// bounds apply_route_state asserts; delivery counts size_phits, which
+/// inject_packet always sets to packet_phits.
 void transfer_packet(auto& ar, Packet& p, const DragonflyTopology& topo,
-                     int vc_stride) {
+                     int vc_stride, int packet_phits) {
   ar.index(p.src, topo.num_terminals(), "packet source");
   ar.index(p.dst, topo.num_terminals(), "packet destination");
   ar.i32(p.size_phits, "packet size");
@@ -81,6 +83,15 @@ void transfer_packet(auto& ar, Packet& p, const DragonflyTopology& topo,
                  rs.src_group == topo.group_of_terminal(p.src) &&
                  rs.valiant == (rs.inter_group != kInvalid),
              "packet route state does not match the packet");
+  ser::check(p.size_phits == packet_phits, "packet size is not packet_phits");
+  ser::check(rs.global_hops >= 0 && rs.global_hops <= 2 &&
+                 rs.local_mis_group >= 0 &&
+                 rs.local_mis_group <= rs.local_hops_group &&
+                 rs.local_hops_group <= 2 &&
+                 rs.local_hops_group <= rs.local_hops_total &&
+                 rs.global_hops + rs.local_hops_total == rs.total_hops &&
+                 rs.total_hops <= 8,
+             "packet route hop counters out of range");
 }
 
 /// A queue whose length the caller has transferred: save visits its
@@ -239,7 +250,7 @@ void Engine::transfer(Ar& ar) {
   }
   for (std::size_t n = 0; n < slots - free_count; ++n) {
     Packet p = kLoad ? Packet{} : pool_[live[n]];
-    transfer_packet(ar, p, topo_, vc_stride_);
+    transfer_packet(ar, p, topo_, vc_stride_, cfg_.packet_phits);
     if constexpr (kLoad) {
       if (!one_slab) {
         live.push_back(pool_.alloc(shard_of(topo_.router_of_terminal(p.src))));

@@ -424,6 +424,7 @@ TEST(Engine, RestoreRejectsOutOfRangeIndices) {
   };
   PortId global_port = 0;
   while (topo.port_class(global_port) != PortClass::kGlobal) ++global_port;
+  const std::string kBadHops = "packet route hop counters out of range";
   const struct {
     std::string field;
     std::size_t from;
@@ -435,6 +436,16 @@ TEST(Engine, RestoreRejectsOutOfRangeIndices) {
       {"VC bound port", 0, i32_6000, "VC bound port out of range"},
       {"route dst group", 0, i32_6000,
        "packet route state does not match the packet"},
+      // Every packet is packet_phits long, and delivery adds its size to
+      // the accepted load.
+      {"packet size", 0, le32(9), "packet size is not packet_phits"},
+      // The hop counters index the VC ladder: each must be one the engine
+      // can reach (apply_route_state's bounds), and they must add up.
+      {"route global hops", 0, le32(3), kBadHops},
+      {"route local hops", 0, le32(0xffffffffu), kBadHops},
+      {"route local misroutes", 0, le32(3), kBadHops},
+      {"route local hops total", 0, le32(7), kBadHops},
+      {"route total hops", 0, le32(9), kBadHops},
       {"flit tail flag", wheels, std::string(1, '\0'),
        "flit head/tail flags do not match its index"},
       {"port scan word", 0, i32_6000, "port scan word"},
@@ -542,8 +553,8 @@ std::uint64_t checkpoint_digest_at_700(const std::string& routing_name,
 
 // Checkpoint format v6. The exact-mode streams differ from their v5
 // predecessors (digests 0x8168eb35de8f3a37 and 0x733d355e7434ec4e) in the
-// version word only; the sharded stream is canonical, so its digest is
-// the same at every worker count.
+// version word only; the sharded streams are canonical, so each digest is
+// the same at every worker count, under wormhole too.
 TEST(EnginePins, ExactVctOlmCheckpointDigest) {
   EngineConfig ec = small_vct();
   ec.seed = 11;
@@ -567,6 +578,20 @@ TEST(EnginePins, ShardedVctOlmCheckpointDigest) {
     SCOPED_TRACE(jobs);
     ec.shard_jobs = jobs;
     EXPECT_EQ(checkpoint_digest_at_700("olm", ec), 0xce4af977e50e8190ULL);
+  }
+}
+
+TEST(EnginePins, ShardedWormholeRlmCheckpointDigest) {
+  EngineConfig ec;
+  ec.flow = FlowControl::kWormhole;
+  ec.packet_phits = 80;
+  ec.flit_phits = 10;
+  ec.seed = 11;
+  ec.sharded = true;
+  for (const int jobs : {1, 2, 4}) {
+    SCOPED_TRACE(jobs);
+    ec.shard_jobs = jobs;
+    EXPECT_EQ(checkpoint_digest_at_700("rlm", ec), 0x5f7eb458139837cdULL);
   }
 }
 

@@ -2,16 +2,17 @@
 // (config, seed) only — never of the worker count, although the worker
 // count sets how the groups are cut into shards. jobs=1 and jobs=N must
 // produce bit-identical results for every run shape (steady, phased,
-// faulted, ON/OFF), checkpoints cut under the sharded engine must be the
-// same bytes at every worker count and resume bit-identically at any,
-// and the sharded engine must agree with the exact engine statistically
-// (same network, same offered load — only the RNG-stream assignment
-// differs).
+// faulted, ON/OFF) under both flow controls, checkpoints cut under the
+// sharded engine must be the same bytes at every worker count and resume
+// bit-identically at any, and the sharded engine must agree with the
+// exact engine statistically (same network, same offered load — only the
+// RNG-stream assignment differs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -59,6 +60,17 @@ SimConfig unbalanced_config() {
   SimConfig cfg = sharded_config();
   cfg.h = 0;
   cfg.topo = "p2a6h3g8";
+  return cfg;
+}
+
+/// `cfg` under wormhole flow control with the paper's 80-phit packets of
+/// 10-phit flits (Sec. IV-B): a packet crossing a global link between two
+/// shards holds VCs on both sides of the cut for several cycles.
+SimConfig wormhole(SimConfig cfg, const char* routing) {
+  cfg.flow = FlowControl::kWormhole;
+  cfg.packet_phits = 80;
+  cfg.flit_phits = 10;
+  cfg.routing = routing;
   return cfg;
 }
 
@@ -232,7 +244,10 @@ TEST(ShardedCheckpoint, KilledRunResumesToByteIdenticalEnd) {
   struct Workers {
     int reference, cut, resume;
   };
-  for (const SimConfig& cfg : {sharded_config(), unbalanced_config()}) {
+  const SimConfig wormhole_rlm = wormhole(sharded_config(), "rlm");
+  for (const SimConfig& cfg : {sharded_config(), unbalanced_config(),
+                               wormhole_rlm}) {
+    SCOPED_TRACE(cfg.flow == FlowControl::kWormhole ? "wormhole" : "vct");
     for (const Workers w : {Workers{4, 4, 4}, Workers{1, 4, 2}}) {
       SCOPED_TRACE((cfg.topo.empty() ? "h=2" : cfg.topo) + " workers " +
                    std::to_string(w.reference) + "/" + std::to_string(w.cut) +
@@ -263,6 +278,75 @@ TEST(ShardedCheckpoint, KilledRunResumesToByteIdenticalEnd) {
       expect_same_steady(reference, resumed.steady_result());
       EXPECT_EQ(end_ref.str(), end_resumed.str());
     }
+  }
+}
+
+TEST(ShardedCheckpoint, WormholeCutAcrossShardsResumesAtFewerWorkers) {
+  // A wormhole run cut at 4 workers while packets straddle shard
+  // boundaries: an output VC on a global link into another shard is still
+  // bound to a packet whose head has crossed and whose tail has not. The
+  // bindings live with the sending router and the stream holds no trace
+  // of the cut, so resuming at 1 or 2 workers must end in the bytes of
+  // the uninterrupted single-worker run (the tsan job runs this case).
+  DragonflyTopology topo(2);  // 9 groups: shards of 2, 2, 2, 3 at 4 workers
+  UniformPattern pattern(topo);
+  InjectionProcess inj;
+  inj.load = 0.4;
+  constexpr Cycle kCut = 700, kEnd = 1500;
+  struct Run {
+    std::unique_ptr<RoutingAlgorithm> routing;
+    std::unique_ptr<Engine> engine;
+  };
+  const auto build = [&](int jobs) {
+    EngineConfig ec;
+    ec.flow = FlowControl::kWormhole;
+    ec.packet_phits = 80;
+    ec.flit_phits = 10;
+    ec.sharded = true;
+    ec.shard_jobs = jobs;
+    ec.seed = 3;
+    Run run{make_routing("rlm", topo, {}), nullptr};
+    run.engine = std::make_unique<Engine>(topo, ec, *run.routing, pattern, inj);
+    return run;
+  };
+  const auto bytes = [](const Engine& engine) {
+    std::stringstream snap;
+    engine.save_checkpoint(snap);
+    return snap.str();
+  };
+
+  Run reference = build(1);
+  reference.engine->run_until(kEnd);
+  ASSERT_FALSE(reference.engine->deadlock_detected());
+  const std::string end_bytes = bytes(*reference.engine);
+
+  Run cut = build(4);
+  cut.engine->run_until(kCut);
+  const auto shard = [&](RouterId r) {  // groups [s*G/W, (s+1)*G/W)
+    return ((topo.group_of_router(r) + 1) * 4 - 1) / topo.num_groups();
+  };
+  int spanning = 0;
+  for (RouterId r = 0; r < topo.num_routers(); ++r) {
+    for (int j = 0; j < topo.num_global_ports(); ++j) {
+      const PortId port = topo.first_global_port() + j;
+      if (shard(topo.remote_endpoint(r, port).router) == shard(r)) continue;
+      for (VcId v = 0; v < cut.engine->vc_count(port); ++v) {
+        if (cut.engine->output_vc(r, port, v).bound_packet != kInvalid) {
+          ++spanning;
+        }
+      }
+    }
+  }
+  EXPECT_GT(spanning, 0) << "no packet straddles a shard boundary at the cut";
+  const std::string cut_bytes = bytes(*cut.engine);
+
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE(jobs);
+    Run resumed = build(jobs);
+    std::istringstream snap(cut_bytes);
+    resumed.engine->restore(snap);
+    resumed.engine->run_until(kEnd);
+    EXPECT_EQ(end_bytes, bytes(*resumed.engine));
   }
 }
 
@@ -430,21 +514,53 @@ TEST(ShardedPartition, EveryWorkerCountGivesTheSameRun) {
   // count is a different partition: p2a6h3g8's 8 groups split 8, 4+4,
   // 2+3+3 and 2+2+2+2; h=2's 9 groups with one dead group split 9, 4+5,
   // 3+3+3 and 2+2+2+3. Results (every double compared exactly) and the
-  // checkpoint bytes must not see the cut.
+  // checkpoint bytes must not see the cut. Under wormhole a packet's
+  // flits straddle the cut, so every wormhole-capable mechanism runs
+  // here, on both shapes, and so does a configuration that wedges: its
+  // deadlock verdict must not see the cut either.
   SimConfig unbalanced = unbalanced_config();
   unbalanced.routing = "olm";
   SimConfig faulted = sharded_config();
   faulted.routing = "olm";
   faulted.fault_spec = "r:4,r:5,r:6,r:7";  // group 1, whole
-  for (const SimConfig& cfg : {unbalanced, faulted}) {
-    SCOPED_TRACE(cfg.topo.empty() ? "h=2 faulted" : cfg.topo);
-    const SteadyResult one = steady_with_jobs(cfg, 1);
-    const std::string one_snap = checkpoint_after(cfg, 1, 700);
+  // The deadlock suite's stress (misroute at every chance, one-flit local
+  // buffers, its windows and watchdog) wedges rlm-unrestricted at h=2.
+  SimConfig wedged = wormhole(sharded_config(), "rlm-unrestricted");
+  wedged.pattern = "advl";
+  wedged.pattern_offset = 1;
+  wedged.load = 1.0;
+  wedged.misroute_threshold = 0.9;
+  wedged.local_buf_phits = 16;
+  wedged.warmup_cycles = 2000;
+  wedged.measure_cycles = 12000;
+  wedged.watchdog_cycles = 3000;
+  struct Case {
+    std::string name;
+    SimConfig cfg;
+    bool deadlock = false;
+  };
+  std::vector<Case> cases = {
+      {"p2a6h3g8 olm", unbalanced},
+      {"h=2 faulted olm", faulted},
+      {"p2a6h3g8 wormhole rlm", wormhole(unbalanced, "rlm")},
+      {"h=2 faulted wormhole par-6/2", wormhole(faulted, "par-6/2")},
+      {"h=2 wormhole rlm-unrestricted stress", wedged, true},
+  };
+  for (const char* routing : {"minimal", "valiant", "ugal", "pb", "par-6/2",
+                              "rlm", "rlm-signonly", "rlm-unrestricted"}) {
+    const std::string name = std::string("h=2 wormhole ") + routing;
+    cases.push_back({name, wormhole(sharded_config(), routing)});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SteadyResult one = steady_with_jobs(c.cfg, 1);
+    const std::string one_snap = checkpoint_after(c.cfg, 1, 700);
     EXPECT_GT(one.delivered, 0u);
+    EXPECT_EQ(one.deadlock, c.deadlock);
     for (const int jobs : {2, 3, 4}) {
       SCOPED_TRACE(jobs);
-      expect_same_steady(one, steady_with_jobs(cfg, jobs));
-      EXPECT_EQ(one_snap, checkpoint_after(cfg, jobs, 700));
+      expect_same_steady(one, steady_with_jobs(c.cfg, jobs));
+      EXPECT_EQ(one_snap, checkpoint_after(c.cfg, jobs, 700));
     }
   }
 }
@@ -551,38 +667,41 @@ TEST(ShardedProfile, OffByDefaultAndAllZero) {
 TEST(ShardedVsExact, SteadyStateStatisticsAgree) {
   // The two engines draw from differently-structured RNG streams, so
   // individual runs differ — but they simulate the same network at the
-  // same offered load, so replicated means must agree within error bars.
-  SimConfig cfg = sharded_config();
-  cfg.measure_cycles = 2000;
+  // same offered load, so replicated means must agree within error bars,
+  // under VCT and under wormhole.
   constexpr int kReps = 5;
+  for (SimConfig cfg : {sharded_config(), wormhole(sharded_config(), "rlm")}) {
+    SCOPED_TRACE(cfg.flow == FlowControl::kWormhole ? "wormhole rlm" : "vct");
+    cfg.measure_cycles = 2000;
 
-  // Replications are a grid of one config: run_experiments seeds each
-  // point from cfg.seed and its index.
-  std::vector<ExperimentPoint> grid;
-  for (const char* engine : {"exact", "sharded"}) {
-    cfg.engine = engine;
-    for (int k = 0; k < kReps; ++k) grid.push_back({engine, 0.0, cfg, {}});
-  }
-  const std::vector<ExperimentResult> runs = run_experiments(grid);
-  RunningStat accepted[2], latency[2];
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    ASSERT_FALSE(runs[i].steady.deadlock) << "point " << i;
-    accepted[i / kReps].add(runs[i].steady.accepted_load);
-    latency[i / kReps].add(runs[i].steady.avg_latency);
-  }
+    // Replications are a grid of one config: run_experiments seeds each
+    // point from cfg.seed and its index.
+    std::vector<ExperimentPoint> grid;
+    for (const char* engine : {"exact", "sharded"}) {
+      cfg.engine = engine;
+      for (int k = 0; k < kReps; ++k) grid.push_back({engine, 0.0, cfg, {}});
+    }
+    const std::vector<ExperimentResult> runs = run_experiments(grid);
+    RunningStat accepted[2], latency[2];
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      ASSERT_FALSE(runs[i].steady.deadlock) << "point " << i;
+      accepted[i / kReps].add(runs[i].steady.accepted_load);
+      latency[i / kReps].add(runs[i].steady.avg_latency);
+    }
 
-  // Welch-style combined standard error, generous 5-sigma band plus an
-  // absolute floor so a near-zero-variance pair can't flake the test.
-  const auto within = [](const RunningStat& a, const RunningStat& b,
-                         double floor_abs) {
-    const double se = std::sqrt(a.stddev() * a.stddev() / kReps +
-                                b.stddev() * b.stddev() / kReps);
-    return std::abs(a.mean() - b.mean()) <= 5.0 * se + floor_abs;
-  };
-  EXPECT_TRUE(within(accepted[0], accepted[1], 0.01))
-      << "exact=" << accepted[0].mean() << " sharded=" << accepted[1].mean();
-  EXPECT_TRUE(within(latency[0], latency[1], 2.0))
-      << "exact=" << latency[0].mean() << " sharded=" << latency[1].mean();
+    // Welch-style combined standard error, generous 5-sigma band plus an
+    // absolute floor so a near-zero-variance pair can't flake the test.
+    const auto within = [](const RunningStat& a, const RunningStat& b,
+                           double floor_abs) {
+      const double se = std::sqrt(a.stddev() * a.stddev() / kReps +
+                                  b.stddev() * b.stddev() / kReps);
+      return std::abs(a.mean() - b.mean()) <= 5.0 * se + floor_abs;
+    };
+    EXPECT_TRUE(within(accepted[0], accepted[1], 0.01))
+        << "exact=" << accepted[0].mean() << " sharded=" << accepted[1].mean();
+    EXPECT_TRUE(within(latency[0], latency[1], 2.0))
+        << "exact=" << latency[0].mean() << " sharded=" << latency[1].mean();
+  }
 }
 
 }  // namespace
